@@ -1,4 +1,13 @@
-"""Shared backend machinery: matching flow, early arrivals, buffered mode.
+"""Shared backend machinery: matching, early arrivals, buffered mode.
+
+Receive matching is written once, here, for both stacks: ``irecv``, the
+arrival commit (bind to a posted receive, or park in the early queue),
+the early-arrival hand-off and the send prologue.  A concrete backend
+adds the transport through small hooks: ``_send_eager``/``_send_rts``
+put a message on the wire, ``_ack_rts`` acknowledges a matched
+request-to-send, ``_send_bfree`` reports a buffered message received,
+and its own arrival path charges the match cost and calls
+``_commit_arrival``.
 
 Terminology: the *task* is the transport endpoint (node id); *rank* is a
 position within a communicator.  The backend speaks tasks for routing
@@ -9,13 +18,13 @@ rank in the message's communicator).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
 from repro.mpci import EarlyArrivalQueue, Envelope, PostedReceiveQueue
-from repro.mpi.protocol import select_protocol
+from repro.mpi.protocol import BUFFERED, EAGER, READY, select_protocol
 from repro.mpi.request import Request
 from repro.sim import Environment, Event
 
@@ -43,7 +52,6 @@ class InMsg:
         "ea_buf",
         "req",
         "assembled",
-        "matched",
     )
 
     def __init__(self, envelope: Envelope, src_task: int, mseq: int, size: int,
@@ -59,9 +67,16 @@ class InMsg:
         self.mid = mid
         self.want_bfree = want_bfree
         self.ea_buf: Optional[bytearray] = None
+        #: the receive this message completes (None while unclaimed)
         self.req: Optional[Request] = None
         self.assembled = False
-        self.matched = False
+
+    @classmethod
+    def from_header(cls, src_task: int, hdr: dict[str, Any]) -> "InMsg":
+        """The receive-side record of an eager or rts first packet."""
+        return cls(Envelope(hdr["ctx"], hdr["srank"], hdr["tag"]), src_task,
+                   hdr["mseq"], hdr["size"], hdr["t"], hdr["mode"], hdr["sid"],
+                   hdr["bfree"], mid=hdr.get("mid"))
 
 
 class PendingSend:
@@ -214,12 +229,183 @@ class Backend:
         self.metrics.counter(f"mpi.proto.{proto}.{mode}").incr()
         return proto
 
-    # ------------------------------------------------- abstract surface
-    def isend(self, thread, data, dst_task, src_rank, tag, context, mode,
-              blocking=False) -> Generator:
+    # ------------------------------------------------------------- sends
+    def isend(self, thread, data: bytes, dst_task: int, src_rank: int, tag: int,
+              context: int, mode: str, blocking: bool = False) -> Generator:
+        """MPI_Isend: the protocol-independent prologue, then the
+        transport's eager or rendezvous hook."""
+        p = self.params
+        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
+        req = Request(self.env, "send")
+        size = len(data)
+        proto = self.select_protocol(mode, size)
+        sid = self.next_sid()
+        want_bfree = mode == BUFFERED
+        hdr = {
+            "ctx": context,
+            "srank": src_rank,
+            "tag": tag,
+            "mseq": self.next_mseq(dst_task),
+            "size": size,
+            "mode": mode,
+            "sid": sid,
+            "mid": self.mint_mid(sid),
+            "bfree": want_bfree,
+        }
+        if want_bfree:
+            # Fig 8: copy the message into the user-attached buffer first
+            self._reserve_attached(size, sid)
+            yield from self.cpu.memcpy(thread, size)
+        self.stats.msgs_sent += 1
+        if proto == EAGER:
+            self.stats.eager_sends += 1
+            hdr["t"] = "eager"
+            yield from self._send_eager(thread, dst_task, hdr, data, req)
+        else:
+            self.stats.rendezvous_started += 1
+            hdr["t"] = "rts"
+            yield from self._send_rts(thread, dst_task, hdr, data, req, blocking)
+        return req
+
+    # ---------------------------------------------------------- receives
+    def irecv(self, thread, view, src_pattern: int, tag_pattern: int,
+              context: int) -> Generator:
+        """MPI_Irecv: claim an early arrival or post the receive."""
+        p = self.params
+        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
+        req = Request(self.env, "recv")
+        req.ctx = view
+        entry, inspected = self.early.match(context, src_pattern, tag_pattern)
+        self._track_unexpected()
+        yield from self.cpu.execute(thread, self.match_cost(inspected))
+        if entry is None:
+            # a message may have entered the early queue while the match
+            # cost was charged; the re-check and the post must not be
+            # separated by a yield or the pair strands
+            entry, _ = self.early.match(context, src_pattern, tag_pattern)
+        if entry is None:
+            self.posted.post(context, src_pattern, tag_pattern, req)
+            self.stats.matches_posted += 1
+            return req
+
+        _env, msg = entry
+        self._check_fits(msg, view)
+        if msg.proto == "rts":
+            # Fig 9: acknowledge the request-to-send now that the receive
+            # is posted
+            self._bind_rts(msg, req)
+            yield from self._ack_rts(thread, msg)
+        elif msg.assembled:
+            # message already sits complete in the early-arrival buffer
+            yield from self._copy_ea_to_user(thread, msg, req)
+        else:
+            # data still arriving into the EA buffer; finalize on completion
+            msg.req = req
+        return req
+
+    def _check_fits(self, msg: InMsg, view) -> None:
+        if msg.size > len(view):
+            raise MpiFatal(
+                f"message of {msg.size}B truncates receive buffer of "
+                f"{len(view)}B (tag {msg.envelope.tag})"
+            )
+
+    def _copy_ea_to_user(self, thread: str, msg: InMsg, req: Request) -> Generator:
+        view = req.ctx
+        # buffer-to-buffer move; a bare bytearray slice would materialise
+        # a temporary copy first
+        view[: msg.size] = memoryview(msg.ea_buf)[: msg.size]
+        yield from self.cpu.memcpy(thread, msg.size)
+        self._free_ea(msg.size)
+        req.complete(source=msg.envelope.src, tag=msg.envelope.tag, count=msg.size)
+        self.stats.msgs_received += 1
+
+    def _hand_off(self, msg: InMsg, req: Request) -> None:
+        """Leave the EA-buffer → user copy to the thread that waits on
+        ``req`` (where the real MPCI performs it)."""
+        req.set_finalizer(lambda thread: self._copy_ea_to_user(thread, msg, req))
+
+    def _bind_rts(self, msg: InMsg, req: Request) -> None:
+        """Bind a request-to-send to its receive; the rendezvous data
+        finds ``req`` through ``bound_recvs``."""
+        msg.req = req
+        self.bound_recvs[(msg.src_task, msg.sid)] = (req, msg.envelope)
+
+    # ---------------------------------------------------------- arrivals
+    def _commit_arrival(self, msg: InMsg, handle: Optional[Request]) -> None:
+        """Bind an announced message to the posted receive ``handle``
+        found for it, or park it in the early queue.
+
+        Synchronous on purpose: the caller charges the match cost and
+        re-checks the posted queue *before* this, so no yield separates
+        the decision from the insertion.
+        """
+        if handle is not None:
+            self.stats.trace("mpci", "matched_posted", proto=msg.proto,
+                             tag=msg.envelope.tag, mseq=msg.mseq, mid=msg.mid)
+            self._check_fits(msg, handle.ctx)
+            if msg.proto == "rts":
+                self._bind_rts(msg, handle)
+                return
+            msg.req = handle
+            if msg.assembled:
+                # a deferred message can finish assembling into its EA
+                # buffer before the announcement gap fills; the completion
+                # ran with no request bound, so finish the hand-off here
+                self._hand_off(msg, handle)
+        elif msg.mode == READY:
+            # Fig 3: ready-mode message with no posted receive is fatal
+            raise MpiFatal(
+                f"ready-mode message (tag {msg.envelope.tag}) arrived with "
+                "no matching receive posted"
+            )
+        else:
+            self.stats.trace("mpci", "early_arrival", proto=msg.proto,
+                             tag=msg.envelope.tag, mseq=msg.mseq, mid=msg.mid)
+            self.early.add(msg.envelope, msg)
+            self._track_unexpected()
+
+    def _claim_rdata(self, src_task: int, hdr: dict[str, Any]) -> InMsg:
+        """Second-phase rendezvous data: no matching, the receive was
+        bound when its request-to-send matched."""
+        bound = self.bound_recvs.pop((src_task, hdr["sid"]), None)
+        if bound is None:
+            raise MpiFatal(f"rendezvous data for unknown receive (sid {hdr['sid']})")
+        req, envelope = bound
+        msg = InMsg(envelope, src_task, -1, hdr["size"], "rdata", "standard",
+                    hdr["sid"], hdr["bfree"], mid=hdr.get("mid"))
+        msg.req = req
+        return msg
+
+    def _on_data_complete(self, msg: InMsg) -> None:
+        """A data message (eager or rdata) is fully assembled (sync)."""
+        msg.assembled = True
+        req = msg.req
+        if req is not None:
+            if msg.ea_buf is None:
+                req.complete(source=msg.envelope.src, tag=msg.envelope.tag,
+                             count=msg.size)
+                self.stats.msgs_received += 1
+            else:
+                self._hand_off(msg, req)
+        if msg.want_bfree:
+            self._send_bfree(msg)
+
+    # --------------------------------------------------- transport hooks
+    def _send_eager(self, thread: str, dst_task: int, hdr: dict, data: bytes,
+                    req: Request) -> Generator:
         raise NotImplementedError
 
-    def irecv(self, thread, view, src_pattern, tag_pattern, context) -> Generator:
+    def _send_rts(self, thread: str, dst_task: int, hdr: dict, data: bytes,
+                  req: Request, blocking: bool) -> Generator:
+        raise NotImplementedError
+
+    def _ack_rts(self, thread: str, msg: InMsg) -> Generator:
+        """Tell the sender of a bound request-to-send to ship the data."""
+        raise NotImplementedError
+
+    def _send_bfree(self, msg: InMsg) -> None:
+        """Tell the sender a buffered-mode message was fully received."""
         raise NotImplementedError
 
     def progress(self, thread: str) -> Generator:
@@ -243,8 +429,29 @@ class Backend:
         raise NotImplementedError
 
     # ------------------------------------------------------ wait loop
+    def wait_until(self, thread: str, cond: Callable[[], bool],
+                   wake: Callable[[], Event]) -> Generator:
+        """Drive progress until ``cond()`` holds (polling discipline).
+
+        ``wake()`` makes the event that fires when something other than
+        packet arrival (such as a handler run in interrupt context) may
+        have made ``cond()`` true.
+        """
+        while not cond():
+            progressed = yield from self.progress(thread)
+            if cond():
+                break
+            if progressed:
+                continue
+            self.stats.polls += 1
+            yield from self.cpu.execute(thread, self.params.poll_check_us)
+            if cond():
+                break
+            yield self.env.any_of([self.wait_rx(), wake()])
+
     def wait(self, thread: str, req: Request) -> Generator:
-        """Drive progress until ``req`` completes (polling discipline)."""
+        """Drive progress until ``req`` completes.  The per-message hot
+        path, so :meth:`wait_until`'s loop is inlined here."""
         while True:
             if req.needs_finalize:
                 yield from req.run_finalizer(thread)

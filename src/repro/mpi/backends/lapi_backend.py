@@ -28,10 +28,7 @@ from typing import Generator, Optional
 from repro.lapi import Lapi
 from repro.lapi.buffers import ByteTarget, NullTarget
 from repro.lapi.counters import Counter
-from repro.mpci import Envelope
-from repro.mpi.backends.base import Backend, InMsg, MpiFatal, PendingSend
-from repro.mpi.protocol import BUFFERED, EAGER, READY
-from repro.mpi.request import Request
+from repro.mpi.backends.base import Backend, InMsg, PendingSend
 from repro.sim import Event, Store
 
 __all__ = ["LapiBackend", "VARIANTS"]
@@ -151,84 +148,42 @@ class LapiBackend(Backend):
                                         mid=uhdr.get("mid"))
 
     # ------------------------------------------------------------- sends
-    def isend(self, thread, data: bytes, dst_task: int, src_rank: int, tag: int,
-              context: int, mode: str, blocking: bool = False) -> Generator:
-        p = self.params
-        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
-        req = Request(self.env, "send")
+    def _send_eager(self, thread, dst_task, uhdr, data, req) -> Generator:
+        tgt_cntr_id = None
+        if self.variant == "counters":
+            pool = self._peer_slot_ids[dst_task]
+            tgt_cntr_id = pool[uhdr["mseq"] % len(pool)]
+        org = Counter(self.env, "org")
+        yield from self.lapi.amsend(
+            thread, dst_task, "mpi_eager", uhdr, data,
+            tgt_cntr_id=tgt_cntr_id, org_cntr=org, mid=uhdr["mid"],
+        )
         size = len(data)
-        proto = self.select_protocol(mode, size)
-        sid = self.next_sid()
-        mid = self.mint_mid(sid)
-        mseq = self.next_mseq(dst_task)
-        want_bfree = mode == BUFFERED
-        if want_bfree:
-            # Fig 8: copy the message into the user-attached buffer first
-            self._reserve_attached(size, sid)
-            yield from self.cpu.memcpy(thread, size)
-        self.stats.msgs_sent += 1
-
-        uhdr = {
-            "ctx": context,
-            "srank": src_rank,
-            "tag": tag,
-            "mseq": mseq,
-            "size": size,
-            "mode": mode,
-            "sid": sid,
-            "mid": mid,
-            "bfree": want_bfree,
-        }
-
-        if proto == EAGER:
-            self.stats.eager_sends += 1
-            uhdr["t"] = "eager"
-            tgt_cntr_id = None
-            if self.variant == "counters":
-                pool = self._peer_slot_ids[dst_task]
-                tgt_cntr_id = pool[mseq % len(pool)]
-            org = Counter(self.env, "org")
-            yield from self.lapi.amsend(
-                thread, dst_task, "mpi_eager", uhdr, data,
-                tgt_cntr_id=tgt_cntr_id, org_cntr=org, mid=mid,
-            )
-            if want_bfree:
-                req.complete(count=size)  # library owns the staged copy
-            else:
-                org.changed()._add_callback(
-                    lambda _e: req.complete(count=size) if not req.done else None
-                )
+        if uhdr["bfree"]:
+            req.complete(count=size)  # library owns the staged copy
         else:
-            self.stats.rendezvous_started += 1
-            uhdr["t"] = "rts"
-            uhdr["blocking"] = blocking and not want_bfree
-            ps = PendingSend(data, dst_task, uhdr, req, uhdr["blocking"])
-            self.pending_sends[sid] = ps
-            yield from self.lapi.amsend(thread, dst_task, "mpi_rts", uhdr,
-                                        mid=mid)
-            if want_bfree:
-                req.complete(count=size)
-            if ps.blocking:
-                # Fig 6: wait for the ack here, then push the data from
-                # the user thread
-                yield from self._wait_acked(thread, ps)
-                yield from self._launch_rdata(thread, ps)
-        return req
+            org.changed()._add_callback(
+                lambda _e: req.complete(count=size) if not req.done else None
+            )
 
-    def _wait_acked(self, thread: str, ps: PendingSend) -> Generator:
-        while not ps.acked:
-            progressed = yield from self.progress(thread)
-            if ps.acked:
-                break
-            if progressed:
-                continue
-            self.stats.polls += 1
-            yield from self.cpu.execute(thread, self.params.poll_check_us)
-            if ps.acked:
-                break
-            ev = self.env.event()
-            ps.waiter = ev
-            yield self.env.any_of([self.wait_rx(), ev])
+    def _send_rts(self, thread, dst_task, uhdr, data, req, blocking) -> Generator:
+        uhdr["blocking"] = blocking and not uhdr["bfree"]
+        ps = PendingSend(data, dst_task, uhdr, req, uhdr["blocking"])
+        self.pending_sends[uhdr["sid"]] = ps
+        yield from self.lapi.amsend(thread, dst_task, "mpi_rts", uhdr,
+                                    mid=uhdr["mid"])
+        if uhdr["bfree"]:
+            req.complete(count=len(data))
+        if ps.blocking:
+            # Fig 6: wait for the ack here, then push the data from
+            # the user thread
+            yield from self.wait_until(thread, lambda: ps.acked,
+                                       lambda: self._ack_waiter(ps))
+            yield from self._launch_rdata(thread, ps)
+
+    def _ack_waiter(self, ps: PendingSend) -> Event:
+        ps.waiter = self.env.event()
+        return ps.waiter
 
     def _launch_rdata(self, thread: str, ps: PendingSend) -> Generator:
         """Second rendezvous phase: ship the message like an eager send."""
@@ -259,41 +214,13 @@ class LapiBackend(Backend):
         yield from self._launch_rdata(thread, ps)
 
     # ----------------------------------------------------------- receives
-    def irecv(self, thread, view, src_pattern: int, tag_pattern: int,
-              context: int) -> Generator:
-        p = self.params
-        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
-        req = Request(self.env, "recv")
-        req.ctx = view
-        entry, inspected = self.early.match(context, src_pattern, tag_pattern)
-        self._track_unexpected()
-        yield from self.cpu.execute(thread, self.match_cost(inspected))
-        if entry is None:
-            self.posted.post(context, src_pattern, tag_pattern, req)
-            self.stats.matches_posted += 1
-            return req
+    def _ack_rts(self, thread, msg: InMsg) -> Generator:
+        yield from self.lapi.amsend(thread, msg.src_task, "mpi_rts_ack",
+                                    self._rts_ack_hdr(msg), mid=msg.mid)
 
-        env_, msg = entry
-        self._check_fits(msg, view)
-        if msg.proto == "rts":
-            # Fig 9: acknowledge the request-to-send now that the receive
-            # is posted
-            msg.req = req
-            msg.matched = True
-            self.bound_recvs[(msg.src_task, msg.sid)] = (req, msg.envelope)
-            slot_cid = self._alloc_rdata_slot(msg)
-            yield from self.lapi.amsend(
-                thread, msg.src_task, "mpi_rts_ack",
-                {"sid": msg.sid, "slot": slot_cid, "mid": msg.mid},
-                mid=msg.mid,
-            )
-        elif msg.assembled:
-            # message already sits complete in the early-arrival buffer
-            yield from self._copy_ea_to_user(thread, msg, req)
-        else:
-            # data still arriving into the EA buffer; finalize on completion
-            msg.req = req
-        return req
+    def _rts_ack_hdr(self, msg: InMsg) -> dict:
+        return {"sid": msg.sid, "slot": self._alloc_rdata_slot(msg),
+                "mid": msg.mid}
 
     def _alloc_rdata_slot(self, msg: InMsg) -> Optional[int]:
         if self.variant != "counters":
@@ -301,22 +228,9 @@ class LapiBackend(Backend):
         pool = self._pools[msg.src_task]
         return pool[msg.mseq % len(pool)].cid
 
-    def _check_fits(self, msg: InMsg, view) -> None:
-        if msg.size > len(view):
-            raise MpiFatal(
-                f"message of {msg.size}B truncates receive buffer of "
-                f"{len(view)}B (tag {msg.envelope.tag})"
-            )
-
-    def _copy_ea_to_user(self, thread: str, msg: InMsg, req: Request) -> Generator:
-        view = req.ctx
-        # buffer-to-buffer move; a bare bytearray slice would materialise
-        # a temporary copy first
-        view[: msg.size] = memoryview(msg.ea_buf)[: msg.size]
-        yield from self.cpu.memcpy(thread, msg.size)
-        self._free_ea(msg.size)
-        req.complete(source=msg.envelope.src, tag=msg.envelope.tag, count=msg.size)
-        self.stats.msgs_received += 1
+    def _send_bfree(self, msg: InMsg) -> None:
+        self._ctrlq.put((msg.src_task, "mpi_bfree",
+                         {"sid": msg.sid, "mid": msg.mid}))
 
     # --------------------------------------------- matching (sync, in HH)
     def _announce(self, msg: InMsg) -> None:
@@ -346,74 +260,22 @@ class LapiBackend(Backend):
             self._expected[src] = nxt + 1
 
     def _match_now(self, msg: InMsg, deferred: bool) -> None:
-        """Try the posted-receive queue; fall back to the EA queue.
+        """Match in the header handler: the cost is a dispatcher charge,
+        so the lookup and the commit are one synchronous step.
 
         For a matched request-to-send: when matched directly inside its
         own header handler (``deferred=False``), the acknowledgement is
         the job of the completion handler the header handler installs
         (paper Fig 4c); a deferred match sends it via the control engine.
         """
-        p = self.params
         handle, inspected = self.posted.match(msg.envelope)
-        self.lapi.add_dispatch_charge(self.match_cost(inspected) + p.mpi_lock_us)
-        msg.matched = True
-        if handle is not None:
-            self.stats.trace("mpci", "matched_posted", proto=msg.proto,
-                             tag=msg.envelope.tag, mseq=msg.mseq, mid=msg.mid)
-            req: Request = handle
-            self._check_fits(msg, req.ctx)
-            msg.req = req
-            if msg.proto == "rts":
-                self.bound_recvs[(msg.src_task, msg.sid)] = (req, msg.envelope)
-                if deferred:
-                    self._ctrlq.put(
-                        (msg.src_task, "mpi_rts_ack",
-                         {"sid": msg.sid, "slot": self._alloc_rdata_slot(msg),
-                          "mid": msg.mid})
-                    )
-            elif msg.assembled:
-                # a deferred message can finish assembling into its EA
-                # buffer before the announcement gap fills; the completion
-                # ran with no request bound, so finish the hand-off here
-                backend = self
-
-                def finalize(thread: str, msg=msg, req=req) -> Generator:
-                    yield from backend._copy_ea_to_user(thread, msg, req)
-
-                req.set_finalizer(finalize)
-        elif msg.mode == READY:
-            # Fig 3: ready-mode message with no posted receive is fatal
-            raise MpiFatal(
-                f"ready-mode message (tag {msg.envelope.tag}) arrived with "
-                "no matching receive posted"
-            )
-        else:
-            self.stats.trace("mpci", "early_arrival", proto=msg.proto,
-                             tag=msg.envelope.tag, mseq=msg.mseq, mid=msg.mid)
-            self.early.add(msg.envelope, msg)
-            self._track_unexpected()
+        self.lapi.add_dispatch_charge(self.match_cost(inspected)
+                                      + self.params.mpi_lock_us)
+        self._commit_arrival(msg, handle)
+        if deferred and msg.proto == "rts" and msg.req is not None:
+            self._ctrlq.put((msg.src_task, "mpi_rts_ack", self._rts_ack_hdr(msg)))
 
     # ------------------------------------------------------ completion
-    def _on_data_complete(self, msg: InMsg) -> None:
-        """A data message (eager or rdata) is fully assembled (sync)."""
-        msg.assembled = True
-        req = msg.req
-        if req is not None:
-            if msg.ea_buf is None:
-                req.complete(source=msg.envelope.src, tag=msg.envelope.tag,
-                             count=msg.size)
-                self.stats.msgs_received += 1
-            else:
-                backend = self
-
-                def finalize(thread: str, msg=msg, req=req) -> Generator:
-                    yield from backend._copy_ea_to_user(thread, msg, req)
-
-                req.set_finalizer(finalize)
-        if msg.want_bfree:
-            self._ctrlq.put((msg.src_task, "mpi_bfree",
-                             {"sid": msg.sid, "mid": msg.mid}))
-
     def _cmpl_mark(self, lapi: Lapi, thread: str, msg: InMsg) -> Generator:
         """Base/Enhanced completion handler: mark the message complete
         (paper Fig 3c)."""
@@ -422,23 +284,14 @@ class LapiBackend(Backend):
 
     def _cmpl_send_rts_ack(self, lapi: Lapi, thread: str, msg: InMsg) -> Generator:
         """Fig 4c: completion handler of a matched request-to-send."""
-        yield from lapi.amsend(
-            thread, msg.src_task, "mpi_rts_ack",
-            {"sid": msg.sid, "slot": self._alloc_rdata_slot(msg),
-             "mid": msg.mid},
-            mid=msg.mid,
-        )
+        return self._ack_rts(thread, msg)
 
     # ------------------------------------------------- header handlers
     def _hh_eager(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Fig 3b: match; return the user buffer or an EA buffer."""
-        msg = InMsg(
-            Envelope(uhdr["ctx"], uhdr["srank"], uhdr["tag"]),
-            src_task, uhdr["mseq"], uhdr["size"], "eager", uhdr["mode"],
-            uhdr["sid"], uhdr["bfree"], mid=uhdr.get("mid"),
-        )
+        msg = InMsg.from_header(src_task, uhdr)
         self._announce(msg)
-        if msg.req is not None and msg.matched:
+        if msg.req is not None:
             target = ByteTarget(msg.req.ctx)
         else:
             msg.ea_buf = self._alloc_ea(msg.size)
@@ -457,13 +310,9 @@ class LapiBackend(Backend):
 
     def _hh_rts(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Fig 4b: header handler of the request-to-send."""
-        msg = InMsg(
-            Envelope(uhdr["ctx"], uhdr["srank"], uhdr["tag"]),
-            src_task, uhdr["mseq"], uhdr["size"], "rts", uhdr["mode"],
-            uhdr["sid"], uhdr["bfree"], mid=uhdr.get("mid"),
-        )
+        msg = InMsg.from_header(src_task, uhdr)
         self._announce(msg)
-        if msg.req is not None and msg.matched:
+        if msg.req is not None:
             # matched immediately: the ack is the completion handler's
             # job (Fig 4c) — threaded in base/counters, inline in enhanced
             return NullTarget(), self._cmpl_send_rts_ack, msg
@@ -487,20 +336,12 @@ class LapiBackend(Backend):
     def _hh_rdata(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Second-phase rendezvous data: receive straight into the bound
         user buffer (no matching needed)."""
-        bound = self.bound_recvs.pop((src_task, uhdr["sid"]), None)
-        if bound is None:
-            raise MpiFatal(f"rendezvous data for unknown receive (sid {uhdr['sid']})")
-        req, envelope = bound
-        msg = InMsg(envelope, src_task, -1, uhdr["size"], "rdata",
-                    "standard", uhdr["sid"], uhdr.get("bfree", False),
-                    mid=uhdr.get("mid"))
-        msg.req = req
-        msg.matched = True
+        msg = self._claim_rdata(src_task, uhdr)
+        target = ByteTarget(msg.req.ctx)
         if self.variant == "counters":
-            slot = self._slot_by_id[uhdr["slot"]]
-            slot.bind(msg)
-            return ByteTarget(req.ctx), None, msg
-        return ByteTarget(req.ctx), self._cmpl_mark, msg
+            self._slot_by_id[uhdr["slot"]].bind(msg)
+            return target, None, msg
+        return target, self._cmpl_mark, msg
 
     def _hh_bfree(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Fig 8: receiver reports full receipt; free attached-buffer space."""

@@ -242,6 +242,71 @@ def _acc_dtype(buf, dtype: Optional[str]) -> str:
     return "|u1"
 
 
+def _local_put(cpu, win: "Window", disp: int, data, datatype,
+               count: int) -> Generator:
+    """Put into the caller's own window: a plain copy, no transport."""
+    win.mem.rma_epoch_dirty()
+    if datatype is None:
+        memoryview(win.mem)[disp : disp + len(data)] = data
+    else:
+        _StridedTarget(memoryview(win.mem), disp,
+                       datatype._flat_ranges(count)).write(0, data)
+    yield from cpu.memcpy("user", len(data))
+
+
+def _local_get(cpu, win: "Window", buf, disp: int, n: int, datatype,
+               count: int) -> Generator:
+    """Get from the caller's own window."""
+    src = memoryview(win.mem)
+    if datatype is None:
+        as_writable(buf)[:n] = src[disp : disp + n]
+    else:
+        wire = b"".join(
+            bytes(src[disp + off : disp + off + ln])
+            for off, ln in datatype._flat_ranges(count))
+        datatype.unpack(wire, buf, count)
+    yield from cpu.memcpy("user", n)
+
+
+def _local_acc(cpu, win: "Window", disp: int, data, op: str,
+               dt: str) -> Generator:
+    """Accumulate into the caller's own window."""
+    _apply_acc(win.mem, disp, data, op, dt)
+    yield from cpu.memcpy("user", len(data))
+
+
+def _local_gacc(cpu, win: "Window", result, disp: int, data, op: str,
+                dt: str) -> Generator:
+    """Get-accumulate on the caller's own window: fetch, then apply."""
+    old = bytes(memoryview(win.mem)[disp : disp + len(data)])
+    _apply_acc(win.mem, disp, data, op, dt)
+    as_writable(result)[: len(old)] = old
+    yield from cpu.memcpy("user", 2 * len(data))
+
+
+def _rmw_word(op: str, old: int, value: int, compare: Optional[int]) -> int:
+    if op == "sum":
+        return old + value
+    if op == "bor":
+        return old | value
+    if op == "replace":
+        return value
+    if op == "no_op":
+        return old
+    if op == "cas":
+        return value if old == compare else old
+    raise RmaError(f"unknown rmw op {op!r}")
+
+
+def _local_rmw(win: "Window", op: str, value: int, compare: Optional[int],
+               disp: int) -> int:
+    """Word read-modify-write on the caller's own window; runs atomically
+    in the caller's context.  Returns the prior value."""
+    old = win.mem.read_word(disp)
+    win.mem.write_word(disp, _rmw_word(op, old, value, compare))
+    return old
+
+
 class Window(object):
     """An MPI-3 window: registered memory plus epoch state.
 
@@ -612,7 +677,7 @@ class LapiRmaEngine:
         self.stats.trace("rma", "put", win=win.name, tgt=t, bytes=len(data),
                          mid=mid)
         if t == win.comm.rank:
-            yield from self._local_put(win, disp, data, datatype, count)
+            yield from _local_put(self.cpu, win, disp, data, datatype, count)
             return
         if defer:
             # deferred issue: queue until the closing sync.  The origin
@@ -637,16 +702,6 @@ class LapiRmaEngine:
                 data, tgt_cntr_id=win.applied_cid_at[t], cmpl_cntr=cmpl,
                 mid=mid)
 
-    def _local_put(self, win: Window, disp: int, data, datatype,
-                   count: int) -> Generator:
-        win.mem.rma_epoch_dirty()
-        if datatype is None:
-            memoryview(win.mem)[disp : disp + len(data)] = data
-        else:
-            _StridedTarget(memoryview(win.mem), disp,
-                           datatype._flat_ranges(count)).write(0, data)
-        yield from self.cpu.memcpy("user", len(data))
-
     # ------------------------------------------------------------- get
     def get(self, win: Window, buf, t: int, disp: int, datatype,
             count: int) -> Generator:
@@ -656,7 +711,7 @@ class LapiRmaEngine:
         mid = self._mint()
         self.stats.trace("rma", "get", win=win.name, tgt=t, bytes=n, mid=mid)
         if t == win.comm.rank:
-            yield from self._local_get(win, buf, disp, n, datatype, count)
+            yield from _local_get(self.cpu, win, buf, disp, n, datatype, count)
             return
         yield from self._flush_deferred(win, t)
         win.sent_to[t] += 1
@@ -676,18 +731,6 @@ class LapiRmaEngine:
                  "origin": self.backend.task_id},
                 tgt_cntr_id=win.applied_cid_at[t], mid=mid)
 
-    def _local_get(self, win: Window, buf, disp: int, n: int, datatype,
-                   count: int) -> Generator:
-        src = memoryview(win.mem)
-        if datatype is None:
-            as_writable(buf)[:n] = src[disp : disp + n]
-        else:
-            wire = b"".join(
-                bytes(src[disp + off : disp + off + ln])
-                for off, ln in datatype._flat_ranges(count))
-            datatype.unpack(wire, buf, count)
-        yield from self.cpu.memcpy("user", n)
-
     # ------------------------------------------------------ accumulate
     def accumulate(self, win: Window, buf, t: int, disp: int, op: str,
                    dtype: Optional[str]) -> Generator:
@@ -701,8 +744,7 @@ class LapiRmaEngine:
         self.stats.trace("rma", "accumulate", win=win.name, tgt=t, op=op,
                          bytes=len(data), mid=mid)
         if t == win.comm.rank:
-            _apply_acc(win.mem, disp, data, op, dt)
-            yield from self.cpu.memcpy("user", len(data))
+            yield from _local_acc(self.cpu, win, disp, data, op, dt)
             return
         yield from self._flush_deferred(win, t)
         win.sent_to[t] += 1
@@ -724,10 +766,7 @@ class LapiRmaEngine:
         self.stats.trace("rma", "get_accumulate", win=win.name, tgt=t, op=op,
                          bytes=len(data), mid=mid)
         if t == win.comm.rank:
-            old = bytes(memoryview(win.mem)[disp : disp + len(data)])
-            _apply_acc(win.mem, disp, data, op, dt)
-            as_writable(result)[: len(old)] = old
-            yield from self.cpu.memcpy("user", 2 * len(data))
+            yield from _local_gacc(self.cpu, win, result, disp, data, op, dt)
             return
         yield from self._flush_deferred(win, t)
         win.sent_to[t] += 1
@@ -743,44 +782,29 @@ class LapiRmaEngine:
     # -------------------------------------------------- scalar atomics
     def fetch_and_op(self, win: Window, value: int, t: int, disp: int,
                      op: str) -> Generator:
-        try:
-            rmw_op = _RMW_OF[op]
-        except KeyError:
+        if op not in _RMW_OF:
             raise RmaError(
-                f"fetch_and_op supports {sorted(_RMW_OF)}, not {op!r}"
-            ) from None
-        val = 0 if op == "no_op" else value
-        return (yield from self._rmw(win, rmw_op, val, None, t, disp))
+                f"fetch_and_op supports {sorted(_RMW_OF)}, not {op!r}")
+        return (yield from self._rmw(win, op, value, None, t, disp))
 
     def compare_and_swap(self, win: Window, value: int, compare: int, t: int,
                          disp: int) -> Generator:
-        return (yield from self._rmw(win, "COMPARE_AND_SWAP", value, compare,
-                                     t, disp))
+        return (yield from self._rmw(win, "cas", value, compare, t, disp))
 
-    def _rmw(self, win: Window, rmw_op: str, value: int,
+    def _rmw(self, win: Window, op: str, value: int,
              compare: Optional[int], t: int, disp: int) -> Generator:
+        rmw_op = "COMPARE_AND_SWAP" if op == "cas" else _RMW_OF[op]
         yield from self.cpu.execute("user", self.params.rma_call_us)
         self.metrics.counter("rma.rmw").incr()
         self.stats.trace("rma", "rmw", win=win.name, tgt=t, op=rmw_op)
         if t == win.comm.rank:
-            # local word ops run atomically in the caller's context
-            old = win.mem.read_word(disp)
-            new = old
-            if rmw_op == "FETCH_AND_ADD":
-                new = old + value
-            elif rmw_op == "FETCH_AND_OR":
-                new = old | value
-            elif rmw_op == "SWAP":
-                new = value
-            elif old == compare:
-                new = value
-            win.mem.write_word(disp, new)
-            return old
+            return _local_rmw(win, op, value, compare, disp)
         yield from self._flush_deferred(win, t)
         win.sent_to[t] += 1
         c = Counter(self.env, "rma.rmw")
         rid = yield from self.lapi.rmw(
-            "user", win.task_of(t), win.name, rmw_op, value, prev_cntr=c,
+            "user", win.task_of(t), win.name, rmw_op,
+            0 if op == "no_op" else value, prev_cntr=c,
             compare_value=compare, tgt_off=disp,
             tgt_cntr_id=win.applied_cid_at[t])
         yield from self.lapi.waitcntr("user", c, 1)
@@ -796,7 +820,7 @@ class LapiRmaEngine:
         self.stats.trace("rma", "rput", win=win.name, tgt=t, bytes=len(data),
                          mid=mid)
         if t == win.comm.rank:
-            yield from self._local_put(win, disp, data, None, 1)
+            yield from _local_put(self.cpu, win, disp, data, None, 1)
             req = Request(self.env, "rma")
             req.complete(count=len(data))
             return req
@@ -819,7 +843,7 @@ class LapiRmaEngine:
         mid = self._mint()
         self.stats.trace("rma", "rget", win=win.name, tgt=t, bytes=n, mid=mid)
         if t == win.comm.rank:
-            yield from self._local_get(win, buf, disp, n, None, 1)
+            yield from _local_get(self.cpu, win, buf, disp, n, None, 1)
             req = Request(self.env, "rma")
             req.complete(count=n)
             return req
@@ -1254,20 +1278,6 @@ class NativeRmaEngine:
             win._pt_pending.setdefault(t, []).extend((sreq, rreq))
         return rreq
 
-    def _wait_cond(self, win: Window, cond) -> Generator:
-        be = self.backend
-        while not cond():
-            progressed = yield from be.progress("user")
-            if cond():
-                break
-            if progressed:
-                continue
-            self.stats.polls += 1
-            yield from self.cpu.execute("user", self.params.poll_check_us)
-            if cond():
-                break
-            yield AnyOf(self.env, [be.wait_rx(), win.sync_event()])
-
     # ------------------------------------------------------ data movement
     def put(self, win: Window, buf, t: int, disp: int, datatype,
             count: int) -> Generator:
@@ -1279,7 +1289,7 @@ class NativeRmaEngine:
         self.metrics.counter("rma.put").incr()
         self.stats.trace("rma", "put", win=win.name, tgt=t, bytes=len(data))
         if t == win.comm.rank:
-            yield from self._local_put(win, disp, data, datatype, count)
+            yield from _local_put(self.cpu, win, disp, data, datatype, count)
             return
         if datatype is None:
             hdr = {"k": "put", "off": disp}
@@ -1288,23 +1298,13 @@ class NativeRmaEngine:
                    "ranges": datatype._flat_ranges(count)}
         yield from self._op(win, t, hdr, data, bytearray(0))
 
-    def _local_put(self, win: Window, disp: int, data, datatype,
-                   count: int) -> Generator:
-        win.mem.rma_epoch_dirty()
-        if datatype is None:
-            memoryview(win.mem)[disp : disp + len(data)] = data
-        else:
-            _StridedTarget(memoryview(win.mem), disp,
-                           datatype._flat_ranges(count)).write(0, data)
-        yield from self.cpu.memcpy("user", len(data))
-
     def get(self, win: Window, buf, t: int, disp: int, datatype,
             count: int) -> Generator:
         n = datatype.size * count if datatype is not None else len(as_writable(buf))
         self.metrics.counter("rma.get").incr()
         self.stats.trace("rma", "get", win=win.name, tgt=t, bytes=n)
         if t == win.comm.rank:
-            yield from self._local_get(win, buf, disp, n, datatype, count)
+            yield from _local_get(self.cpu, win, buf, disp, n, datatype, count)
             return
         if datatype is None:
             hdr = {"k": "get", "off": disp, "n": n}
@@ -1314,18 +1314,6 @@ class NativeRmaEngine:
                    "ranges": datatype._flat_ranges(count), "n": n}
             yield from self._op(win, t, hdr, b"", buf, reply_dt=datatype,
                                 reply_count=count)
-
-    def _local_get(self, win: Window, buf, disp: int, n: int, datatype,
-                   count: int) -> Generator:
-        src = memoryview(win.mem)
-        if datatype is None:
-            as_writable(buf)[:n] = src[disp : disp + n]
-        else:
-            wire = b"".join(
-                bytes(src[disp + off : disp + off + ln])
-                for off, ln in datatype._flat_ranges(count))
-            datatype.unpack(wire, buf, count)
-        yield from self.cpu.memcpy("user", n)
 
     def accumulate(self, win: Window, buf, t: int, disp: int, op: str,
                    dtype: Optional[str]) -> Generator:
@@ -1337,8 +1325,7 @@ class NativeRmaEngine:
         self.stats.trace("rma", "accumulate", win=win.name, tgt=t, op=op,
                          bytes=len(data))
         if t == win.comm.rank:
-            _apply_acc(win.mem, disp, data, op, dt)
-            yield from self.cpu.memcpy("user", len(data))
+            yield from _local_acc(self.cpu, win, disp, data, op, dt)
             return
         yield from self._op(win, t, {"k": "acc", "off": disp, "op": op,
                                      "dt": dt}, data, bytearray(0))
@@ -1353,17 +1340,14 @@ class NativeRmaEngine:
         self.stats.trace("rma", "get_accumulate", win=win.name, tgt=t, op=op,
                          bytes=len(data))
         if t == win.comm.rank:
-            old = bytes(memoryview(win.mem)[disp : disp + len(data)])
-            _apply_acc(win.mem, disp, data, op, dt)
-            as_writable(result)[: len(old)] = old
-            yield from self.cpu.memcpy("user", 2 * len(data))
+            yield from _local_gacc(self.cpu, win, result, disp, data, op, dt)
             return
         yield from self._op(win, t, {"k": "gacc", "off": disp, "op": op,
                                      "dt": dt}, data, result)
 
     def fetch_and_op(self, win: Window, value: int, t: int, disp: int,
                      op: str) -> Generator:
-        if op not in _RMW_OF and op != "no_op":
+        if op not in _RMW_OF:
             raise RmaError(
                 f"fetch_and_op supports {sorted(_RMW_OF)}, not {op!r}")
         return (yield from self._rmw(win, op, value, None, t, disp))
@@ -1377,9 +1361,7 @@ class NativeRmaEngine:
         self.metrics.counter("rma.rmw").incr()
         self.stats.trace("rma", "rmw", win=win.name, tgt=t, op=op)
         if t == win.comm.rank:
-            old = win.mem.read_word(disp)
-            win.mem.write_word(disp, _rmw_word(op, old, value, compare))
-            return old
+            return _local_rmw(win, op, value, compare, disp)
         rbuf = bytearray(8)
         rreq = yield from self._op(
             win, t, {"k": "rmw", "op": op, "off": disp, "val": value,
@@ -1392,7 +1374,7 @@ class NativeRmaEngine:
         self.metrics.counter("rma.put").incr()
         self.stats.trace("rma", "rput", win=win.name, tgt=t, bytes=len(data))
         if t == win.comm.rank:
-            yield from self._local_put(win, disp, data, None, 1)
+            yield from _local_put(self.cpu, win, disp, data, None, 1)
             req = Request(self.env, "rma")
             req.complete(count=len(data))
             return req
@@ -1405,7 +1387,7 @@ class NativeRmaEngine:
         self.metrics.counter("rma.get").incr()
         self.stats.trace("rma", "rget", win=win.name, tgt=t, bytes=n)
         if t == win.comm.rank:
-            yield from self._local_get(win, buf, disp, n, None, 1)
+            yield from _local_get(self.cpu, win, buf, disp, n, None, 1)
             req = Request(self.env, "rma")
             req.complete(count=n)
             return req
@@ -1445,8 +1427,9 @@ class NativeRmaEngine:
         me = win.comm.rank
         for r in sorted(ranks):
             if r == me:
-                yield from self._wait_cond(
-                    win, lambda: win.post_tokens.get(me, 0) > 0)
+                yield from self.backend.wait_until(
+                    "user", lambda: win.post_tokens.get(me, 0) > 0,
+                    win.sync_event)
                 win.post_tokens[me] -= 1
             else:
                 yield from win._comm.recv(bytearray(0), source=r,
@@ -1471,8 +1454,8 @@ class NativeRmaEngine:
         me = win.comm.rank
         for o in sorted(win.exposure_origins):
             if o == me:
-                yield from self._wait_cond(
-                    win, lambda: win.complete_cums.get(me))
+                yield from self.backend.wait_until(
+                    "user", lambda: win.complete_cums.get(me), win.sync_event)
                 win.complete_cums[me].popleft()
             else:
                 yield from win._comm.recv(bytearray(0), source=o,
@@ -1490,7 +1473,8 @@ class NativeRmaEngine:
         if t == win.comm.rank:
             if not win.ledger.try_acquire(lid, exclusive):
                 win.ledger.enqueue(lid, exclusive, ("local",))
-                yield from self._wait_cond(win, lambda: lid in win._granted)
+                yield from self.backend.wait_until(
+                    "user", lambda: lid in win._granted, win.sync_event)
                 win._granted.discard(lid)
         else:
             rreq = yield from self._op(
@@ -1573,10 +1557,7 @@ class NativeRmaEngine:
         kind = hdr["k"]
         rtag = _REPLY_BASE + hdr["rid"]
         if kind == "put":
-            off = hdr["off"]
-            mem.rma_epoch_dirty()
-            memoryview(mem)[off : off + len(payload)] = payload
-            yield from self.cpu.memcpy("user", len(payload))
+            yield from _local_put(self.cpu, win, hdr["off"], payload, None, 1)
             yield from comm.send(b"", src, rtag)
         elif kind == "sput":
             mem.rma_epoch_dirty()
@@ -1598,8 +1579,8 @@ class NativeRmaEngine:
             yield from self.cpu.memcpy("user", len(wire))
             yield from comm.send(wire, src, rtag)
         elif kind == "acc":
-            _apply_acc(mem, hdr["off"], payload, hdr["op"], hdr["dt"])
-            yield from self.cpu.memcpy("user", len(payload))
+            yield from _local_acc(self.cpu, win, hdr["off"], payload,
+                                  hdr["op"], hdr["dt"])
             yield from comm.send(b"", src, rtag)
         elif kind == "gacc":
             off = hdr["off"]
@@ -1608,9 +1589,7 @@ class NativeRmaEngine:
             yield from self.cpu.memcpy("user", 2 * len(payload))
             yield from comm.send(old, src, rtag)
         elif kind == "rmw":
-            old = mem.read_word(hdr["off"])
-            mem.write_word(hdr["off"],
-                           _rmw_word(hdr["op"], old, hdr["val"], hdr["cmp"]))
+            old = _local_rmw(win, hdr["op"], hdr["val"], hdr["cmp"], hdr["off"])
             yield from comm.send(
                 (old & _WORD_MASK).to_bytes(8, "little"), src, rtag)
         elif kind == "lock":
@@ -1626,16 +1605,3 @@ class NativeRmaEngine:
         else:
             raise RmaError(f"window server got unknown request {kind!r}")
 
-
-def _rmw_word(op: str, old: int, value: int, compare: Optional[int]) -> int:
-    if op == "sum":
-        return old + value
-    if op == "bor":
-        return old | value
-    if op == "replace":
-        return value
-    if op == "no_op":
-        return old
-    if op == "cas":
-        return value if old == compare else old
-    raise RmaError(f"unknown rmw op {op!r}")

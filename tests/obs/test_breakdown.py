@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import pingpong_breakdown
-from repro.obs import PHASES, TruncatedTraceError, lapi_breakdowns
+from repro.obs import PHASES, TruncatedTraceError, breakdown, lapi_breakdowns
 from repro.trace import Tracer
 
 ALL_STACKS = ("lapi-base", "lapi-counters", "lapi-enhanced", "native")
@@ -12,7 +11,7 @@ ALL_STACKS = ("lapi-base", "lapi-counters", "lapi-enhanced", "native")
 @pytest.fixture(scope="module")
 def breakdowns():
     return {
-        stack: pingpong_breakdown(stack, 256, reps=3) for stack in ALL_STACKS
+        stack: breakdown(stack, 256, reps=3) for stack in ALL_STACKS
     }
 
 

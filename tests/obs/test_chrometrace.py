@@ -4,16 +4,15 @@ import json
 
 import pytest
 
-from repro.bench.harness import pingpong_capture
-from repro.obs import build_span_trees, to_chrome_trace, write_chrome_trace
+from repro.obs import (build_span_trees, capture, to_chrome_trace,
+                       write_chrome_trace)
 
 VALID_PH = {"X", "i", "s", "f", "M"}
 
 
 @pytest.fixture(scope="module")
 def trees():
-    return build_span_trees(pingpong_capture("lapi-enhanced", 16384,
-                                             reps=2).tracer)
+    return build_span_trees(capture("lapi-enhanced", 16384, reps=2).tracer)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +67,6 @@ def test_writer_is_deterministic(trees, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_chrome_trace(trees, a)
     write_chrome_trace(build_span_trees(
-        pingpong_capture("lapi-enhanced", 16384, reps=2).tracer), b)
+        capture("lapi-enhanced", 16384, reps=2).tracer), b)
     assert a.read_bytes() == b.read_bytes()
     json.loads(a.read_text())
