@@ -272,7 +272,7 @@ def check_invariants(cluster, payload: bytes,
             if eng._windows:
                 violations.append(
                     f"rank {r}: {len(eng._windows)} RMA windows never freed")
-            if getattr(eng, "_pending", None):
+            if eng._pending:
                 violations.append(
                     f"rank {r}: {len(eng._pending)} RMA replies never "
                     f"delivered")

@@ -107,11 +107,13 @@ class _SendDesc:
         "msg_no",
         "mid",
         "tgt_cntr_id",
+        "tgt_cntr_floor",
         "org_cntr",
         "want_cmpl",
     )
 
-    def __init__(self, dst, hdr_hdl, uhdr, udata, msg_no, mid, tgt_cntr_id, org_cntr, want_cmpl):
+    def __init__(self, dst, hdr_hdl, uhdr, udata, msg_no, mid, tgt_cntr_id, tgt_cntr_floor,
+                 org_cntr, want_cmpl):
         self.dst = dst
         self.hdr_hdl = hdr_hdl
         self.uhdr = uhdr
@@ -119,6 +121,7 @@ class _SendDesc:
         self.msg_no = msg_no
         self.mid = mid
         self.tgt_cntr_id = tgt_cntr_id
+        self.tgt_cntr_floor = tgt_cntr_floor
         self.org_cntr = org_cntr
         self.want_cmpl = want_cmpl
 
@@ -168,6 +171,8 @@ class Lapi:
         self._flow_tx: dict[int, _FlowTx] = {}
         self._flow_rx: dict[int, _FlowRx] = {}
         self._assemblies: dict[tuple[int, int], _Assembly] = {}
+        #: target counter id -> (assembly, header) held below their floor
+        self._held: dict[int, list[tuple[_Assembly, dict[str, Any]]]] = {}
         self._msg_nos = itertools.count()
         self._txq = Store(env, name=f"lapi{task_id}.txq")
         self._tx_outstanding = 0  # descriptors queued but not fully windowed
@@ -286,6 +291,7 @@ class Lapi:
         org_cntr: Optional[Counter] = None,
         cmpl_cntr: Optional[Counter] = None,
         mid: Optional[str] = None,
+        tgt_cntr_floor: Optional[int] = None,
     ) -> Generator:
         """LAPI_Amsend: active-message send (non-blocking).
 
@@ -294,7 +300,11 @@ class Lapi:
         is an optional caller-assigned message id carried on every
         packet and trace record of this message (MPI-LAPI threads its
         cluster-unique message id through here so captures on both
-        nodes correlate — see ``repro.obs.spans``).
+        nodes correlate — see ``repro.obs.spans``).  With
+        ``tgt_cntr_floor`` the target holds the message — its header
+        handler does not run — until the target counter
+        ``tgt_cntr_id`` reads at least that value, so it cannot
+        overtake the earlier messages that bump the counter.
         """
         self._check_not_in_header_handler("LAPI_Amsend")
         if tgt == self.task_id:
@@ -316,7 +326,8 @@ class Lapi:
                 or (isinstance(udata, memoryview) and udata.readonly)):
             udata = bytes(udata)
         self._txq.put(
-            _SendDesc(tgt, hdr_hdl, uhdr, udata, msg_no, mid, tgt_cntr_id, org_cntr, want_cmpl)
+            _SendDesc(tgt, hdr_hdl, uhdr, udata, msg_no, mid, tgt_cntr_id, tgt_cntr_floor,
+                      org_cntr, want_cmpl)
         )
 
     def put(
@@ -330,6 +341,7 @@ class Lapi:
         org_cntr: Optional[Counter] = None,
         cmpl_cntr: Optional[Counter] = None,
         mid: Optional[str] = None,
+        tgt_cntr_floor: Optional[int] = None,
     ) -> Generator:
         """LAPI_Put: one-sided write into a published remote buffer."""
         self._m_put.incr()
@@ -343,6 +355,7 @@ class Lapi:
             org_cntr=org_cntr,
             cmpl_cntr=cmpl_cntr,
             mid=mid,
+            tgt_cntr_floor=tgt_cntr_floor,
         )
 
     def get(
@@ -356,6 +369,7 @@ class Lapi:
         org_cntr: Optional[Counter] = None,
         tgt_cntr_id: Optional[int] = None,
         mid: Optional[str] = None,
+        tgt_cntr_floor: Optional[int] = None,
     ) -> Generator:
         """LAPI_Get: one-sided read; ``org_cntr`` fires when data lands.
 
@@ -374,6 +388,7 @@ class Lapi:
              "origin": self.task_id},
             tgt_cntr_id=tgt_cntr_id,
             mid=mid,
+            tgt_cntr_floor=tgt_cntr_floor,
         )
 
     def rmw(
@@ -387,6 +402,8 @@ class Lapi:
         compare_value: Optional[int] = None,
         tgt_off: Optional[int] = None,
         tgt_cntr_id: Optional[int] = None,
+        mid: Optional[str] = None,
+        tgt_cntr_floor: Optional[int] = None,
     ) -> Generator:
         """LAPI_Rmw: remote atomic; result arrives via :meth:`rmw_result`.
 
@@ -420,6 +437,8 @@ class Lapi:
                 "toff": tgt_off,
             },
             tgt_cntr_id=tgt_cntr_id,
+            mid=mid,
+            tgt_cntr_floor=tgt_cntr_floor,
         )
         return rid
 
@@ -553,6 +572,7 @@ class Lapi:
                     header["hh"] = desc.hdr_hdl
                     header["uhdr"] = desc.uhdr
                     header["tgt_cntr"] = desc.tgt_cntr_id
+                    header["floor"] = desc.tgt_cntr_floor
                     header["want_cmpl"] = desc.want_cmpl
                 payload = udata if view is None else view[off : off + ln]
                 seq = flow.window.send((header, payload))
@@ -667,43 +687,17 @@ class Lapi:
             asm = self._assemblies[key] = _Assembly(src, header["msg"])
 
         if header.get("first"):
-            asm.header_seen = True
-            asm.mlen = header["mlen"]
-            asm.mid = header.get("mid")
-            asm.tgt_cntr_id = header.get("tgt_cntr")
-            asm.want_cmpl = bool(header.get("want_cmpl"))
-            try:
-                handler = self._handlers[header["hh"]]
-            except KeyError:
-                raise LapiError(
-                    f"task {self.task_id}: message names unregistered header "
-                    f"handler {header['hh']!r}"
-                ) from None
-            self.stats.hdr_handlers_run += 1
-            self.metrics.counter("lapi.hdr." + header["hh"]).incr()
-            yield from self.cpu.execute(thread, p.lapi_hdr_hdl_us)
-            self._in_hdr_handler = True
-            try:
-                target, cmpl_fn, cmpl_data = handler(self, src, header["uhdr"], asm.mlen)
-            finally:
-                self._in_hdr_handler = False
-            if self._pending_charge_us > 0.0:
-                extra, self._pending_charge_us = self._pending_charge_us, 0.0
-                yield from self.cpu.execute(thread, extra)
-            asm.target = target if target is not None else NullTarget()
-            asm.cmpl_fn = cmpl_fn
-            asm.cmpl_data = cmpl_data
-            asm.cmpl_inline_always = header["hh"] in self._inline_always
-            self.stats.trace("lapi", "hdr_handler", hh=header["hh"], src=src,
-                             msg=header["msg"], mlen=asm.mlen, mid=asm.mid,
-                             thr=thread)
-            # flush chunks that raced ahead of the header packet
-            for off, data in asm.stash:
-                yield from self._assemble(thread, asm, off, data)
-            asm.stash.clear()
+            floor = header["floor"]
+            if floor is not None and self._counters[header["tgt_cntr"]].value < floor:
+                # an earlier message this one may not overtake is still
+                # in flight: hold it, chunks stashed, until _post_complete
+                # brings the counter up to the floor
+                self._held.setdefault(header["tgt_cntr"], []).append((asm, header))
+            else:
+                yield from self._run_header(thread, src, asm, header)
 
         if asm.target is None:
-            # header not seen yet: hold the chunk (still in HAL buffers)
+            # header not run yet: hold the chunk (still in HAL buffers)
             asm.stash.append((header["off"], payload))
         else:
             yield from self._assemble(thread, asm, header["off"], payload)
@@ -718,6 +712,61 @@ class Lapi:
         elif flow.since_ack > 0 and not flow.ack_timer_alive:
             flow.ack_timer_alive = True
             self.env.process(self._delayed_ack(src, flow), name=f"lapi{self.task_id}.dack")
+
+    def _run_header(
+        self, thread: str, src: int, asm: _Assembly, header: dict[str, Any]
+    ) -> Generator:
+        """Run a message's header handler and flush the chunks that
+        raced ahead of it."""
+        asm.header_seen = True
+        asm.mlen = header["mlen"]
+        asm.mid = header.get("mid")
+        asm.tgt_cntr_id = header.get("tgt_cntr")
+        asm.want_cmpl = bool(header.get("want_cmpl"))
+        try:
+            handler = self._handlers[header["hh"]]
+        except KeyError:
+            raise LapiError(
+                f"task {self.task_id}: message names unregistered header "
+                f"handler {header['hh']!r}"
+            ) from None
+        self.stats.hdr_handlers_run += 1
+        self.metrics.counter("lapi.hdr." + header["hh"]).incr()
+        yield from self.cpu.execute(thread, self.params.lapi_hdr_hdl_us)
+        self._in_hdr_handler = True
+        try:
+            target, cmpl_fn, cmpl_data = handler(self, src, header["uhdr"], asm.mlen)
+        finally:
+            self._in_hdr_handler = False
+        if self._pending_charge_us > 0.0:
+            extra, self._pending_charge_us = self._pending_charge_us, 0.0
+            yield from self.cpu.execute(thread, extra)
+        asm.target = target if target is not None else NullTarget()
+        asm.cmpl_fn = cmpl_fn
+        asm.cmpl_data = cmpl_data
+        asm.cmpl_inline_always = header["hh"] in self._inline_always
+        self.stats.trace("lapi", "hdr_handler", hh=header["hh"], src=src,
+                         msg=header["msg"], mlen=asm.mlen, mid=asm.mid,
+                         thr=thread)
+        for off, data in asm.stash:
+            yield from self._assemble(thread, asm, off, data)
+        asm.stash.clear()
+
+    def _release_held(self, thread: str, cid: int, value: int) -> Generator:
+        """Run the messages held on counter ``cid`` whose floor
+        ``value`` now meets."""
+        held = self._held.pop(cid)
+        rest = [h for h in held if h[1]["floor"] > value]
+        if rest:
+            self._held[cid] = rest
+        for asm, header in held:
+            if header["floor"] > value:
+                continue
+            yield from self._run_header(thread, asm.src, asm, header)
+            if asm.received >= asm.mlen and not asm.done:
+                asm.done = True
+                del self._assemblies[(asm.src, asm.msg_no)]
+                yield from self._complete(thread, asm)
 
     def _assemble(self, thread: str, asm: _Assembly, off: int, data: bytes) -> Generator:
         """Move one chunk HAL buffer -> target (the single MPI-LAPI copy)."""
@@ -770,6 +819,8 @@ class Lapi:
                     f"task {self.task_id}: unknown target counter id {asm.tgt_cntr_id}"
                 )
             cntr.incr()
+            if asm.tgt_cntr_id in self._held:
+                yield from self._release_held(thread, asm.tgt_cntr_id, cntr.value)
         if asm.want_cmpl:
             yield from self.amsend(
                 thread,

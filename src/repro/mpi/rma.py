@@ -23,12 +23,22 @@ wait``                      cumulative complete counts
                             dispatcher context             server
 ==========================  =============================  =========================
 
+As in the paper's MPCI (§4), the MPI half of every call is written once
+— in :class:`Window` and the :class:`RmaEngine` base: argument and epoch
+checks, the self-target shortcut, metrics and trace, lock ids, the lock
+ledger and grant routing, the self-rank PSCW tokens.  Each engine adds
+only transport hooks (see :class:`RmaEngine`).
+
 Sync-mode correctness rests on one invariant: every remote data-movement
 op increments exactly one per-origin *applied* counter at the target
 (``tgt_cntr_id`` for LAPI; the explicit ack for native), so an epoch can
 close by comparing a cumulative issued count against a cumulative
-applied count — order-independent, hence safe under the fabric's
-out-of-order multi-route delivery.
+applied count.  The LAPI marker fence lets an origin leave once it has
+every peer's marker, before the target has applied the origin's own
+ops, so each LAPI op also carries the count its origin had issued to
+that target by its last fence (``tgt_cntr_floor``), and the target holds
+the op until its applied counter reaches that count: no op overtakes an
+earlier epoch's op from the same origin, whatever route either takes.
 
 Passive target progress: all target-side work (applies, the lock
 ledger) runs in dispatcher/completion context (``inline_always``
@@ -57,6 +67,7 @@ from repro.sim import AnyOf
 __all__ = [
     "LapiRmaEngine",
     "NativeRmaEngine",
+    "RmaEngine",
     "RmaError",
     "Window",
     "WindowBuffer",
@@ -149,8 +160,9 @@ class _LockLedger:
 
     FIFO-fair: once anything queues, later requests queue behind it
     (no shared-reader starvation of a waiting writer).  ``release``
-    returns the queue entries that become grantable — the caller routes
-    the grants (message to a remote origin, direct wake locally).
+    returns the queue entries that become grantable.  An entry's
+    ``origin_ref`` is ``None`` for a waiter on the target itself, else
+    the engine's address for the remote grant.
     """
 
     __slots__ = ("holders", "queue")
@@ -190,10 +202,6 @@ class _LockLedger:
             granted.append(self.queue.popleft())
         return granted
 
-    @property
-    def empty(self) -> bool:
-        return not self.holders and not self.queue
-
 
 #: numpy ufuncs for the element-wise accumulate ops
 _ACC_UFUNCS = {
@@ -206,8 +214,7 @@ _ACC_UFUNCS = {
     "bxor": np.bitwise_xor,
 }
 
-ACC_OPS = ("sum", "prod", "min", "max", "band", "bor", "bxor", "replace",
-           "no_op")
+ACC_OPS = tuple(_ACC_UFUNCS) + ("replace", "no_op")
 
 #: fetch_and_op -> LAPI_Rmw op (scalar ops ride the rmw fast path)
 _RMW_OF = {"sum": "FETCH_AND_ADD", "bor": "FETCH_AND_OR", "replace": "SWAP",
@@ -216,7 +223,8 @@ _RMW_OF = {"sum": "FETCH_AND_ADD", "bor": "FETCH_AND_OR", "replace": "SWAP",
 
 def _apply_acc(mem: WindowBuffer, off: int, data, op: str, dtype: str) -> None:
     """Element-wise accumulate into window memory (runs synchronously in
-    dispatcher/server context — that synchrony is the atomicity)."""
+    dispatcher/server context — that synchrony is the atomicity).  ``op``
+    was validated at the origin."""
     if op == "no_op":
         return
     mem.rma_epoch_dirty()
@@ -224,14 +232,10 @@ def _apply_acc(mem: WindowBuffer, off: int, data, op: str, dtype: str) -> None:
     if op == "replace":
         view[:] = data
         return
-    try:
-        ufunc = _ACC_UFUNCS[op]
-    except KeyError:
-        raise RmaError(f"unknown accumulate op {op!r}") from None
     dst = np.frombuffer(view, dtype=dtype)
     src = np.frombuffer(data if isinstance(data, (bytes, bytearray)) else bytes(data),
                         dtype=dtype)
-    ufunc(dst, src, out=dst)
+    _ACC_UFUNCS[op](dst, src, out=dst)
 
 
 def _acc_dtype(buf, dtype: Optional[str]) -> str:
@@ -242,46 +246,48 @@ def _acc_dtype(buf, dtype: Optional[str]) -> str:
     return "|u1"
 
 
-def _local_put(cpu, win: "Window", disp: int, data, datatype,
-               count: int) -> Generator:
-    """Put into the caller's own window: a plain copy, no transport."""
+def _gather(mem, base: int, ranges) -> bytes:
+    """Pack strided window ranges into one wire image."""
+    view = memoryview(mem)
+    return b"".join(bytes(view[base + off : base + off + ln])
+                    for off, ln in ranges)
+
+
+def _local_put(cpu, win: "Window", disp: int, data,
+               ranges=None) -> Generator:
+    """Put into a window in the calling context (the caller's own, or
+    the native server's): a plain copy, strided over ``ranges``."""
     win.mem.rma_epoch_dirty()
-    if datatype is None:
+    if ranges is None:
         memoryview(win.mem)[disp : disp + len(data)] = data
     else:
-        _StridedTarget(memoryview(win.mem), disp,
-                       datatype._flat_ranges(count)).write(0, data)
+        _StridedTarget(memoryview(win.mem), disp, ranges).write(0, data)
     yield from cpu.memcpy("user", len(data))
 
 
 def _local_get(cpu, win: "Window", buf, disp: int, n: int, datatype,
                count: int) -> Generator:
     """Get from the caller's own window."""
-    src = memoryview(win.mem)
     if datatype is None:
-        as_writable(buf)[:n] = src[disp : disp + n]
+        as_writable(buf)[:n] = memoryview(win.mem)[disp : disp + n]
     else:
-        wire = b"".join(
-            bytes(src[disp + off : disp + off + ln])
-            for off, ln in datatype._flat_ranges(count))
-        datatype.unpack(wire, buf, count)
+        datatype.unpack(_gather(win.mem, disp, datatype._flat_ranges(count)),
+                        buf, count)
     yield from cpu.memcpy("user", n)
 
 
-def _local_acc(cpu, win: "Window", disp: int, data, op: str,
-               dt: str) -> Generator:
-    """Accumulate into the caller's own window."""
-    _apply_acc(win.mem, disp, data, op, dt)
-    yield from cpu.memcpy("user", len(data))
-
-
-def _local_gacc(cpu, win: "Window", result, disp: int, data, op: str,
-                dt: str) -> Generator:
-    """Get-accumulate on the caller's own window: fetch, then apply."""
-    old = bytes(memoryview(win.mem)[disp : disp + len(data)])
-    _apply_acc(win.mem, disp, data, op, dt)
+def _local_acc(cpu, thread: str, mem: WindowBuffer, disp: int, data, op: str,
+               dt: str, result=None) -> Generator:
+    """Accumulate into window memory in the calling context; with
+    ``result``, fetch the old contents into it first."""
+    if result is None:
+        _apply_acc(mem, disp, data, op, dt)
+        yield from cpu.memcpy(thread, len(data))
+        return
+    old = bytes(memoryview(mem)[disp : disp + len(data)])
+    _apply_acc(mem, disp, data, op, dt)
     as_writable(result)[: len(old)] = old
-    yield from cpu.memcpy("user", 2 * len(data))
+    yield from cpu.memcpy(thread, 2 * len(data))
 
 
 def _rmw_word(op: str, old: int, value: int, compare: Optional[int]) -> int:
@@ -307,14 +313,20 @@ def _local_rmw(win: "Window", op: str, value: int, compare: Optional[int],
     return old
 
 
+def _check_acc_op(op: str) -> None:
+    if op not in ACC_OPS:
+        raise RmaError(f"unknown accumulate op {op!r}")
+
+
 class Window(object):
-    """An MPI-3 window: registered memory plus epoch state.
+    """An MPI-3 window: registered memory plus MPI epoch state.
 
     Created collectively by :func:`win_create`; all methods are
     generators (``yield from win.put(...)``) except the plain accessors.
-    The heavy lifting is delegated to the backend's RMA engine — thin
-    and zero-copy on the LAPI stacks, emulated over two-sided send/recv
-    on the native stack.
+    Each call does its MPI half here — checks, the self-target shortcut,
+    metrics and trace — and hands the remote part to the engine's
+    transport hooks: thin and zero-copy on the LAPI stacks, emulated
+    over two-sided send/recv on the native stack.
     """
 
     def __init__(self, engine, comm, mem: WindowBuffer, name: str):
@@ -322,35 +334,19 @@ class Window(object):
         self.comm = comm
         self.mem = mem
         self.name = name
-        # ---- issue/apply accounting (cumulative, never reset) -------
-        #: ops issued to each target rank that bump its applied counter
-        self.sent_to = [0] * comm.size
-        #: replies (get/sget/gacc data) owed to this origin
-        self.replies_due = 0
-        self.reply_cntr: Optional[Counter] = None
-        #: per-origin applied counters at *this* target (LAPI engine)
-        self.applied_from: dict[int, Counter] = {}
-        #: counter id of my row in each target's applied table
-        self.applied_cid_at: dict[int, int] = {}
-        # ---- fence ---------------------------------------------------
         self.fence_epoch = 0
-        self.fence_marks: dict[int, dict[int, int]] = {}
-        #: small contiguous puts queued until the closing sync (LAPI
-        #: engine): the last one carries the fence marker piggybacked,
-        #: saving the standalone marker packet on the critical path
-        self.deferred: dict[int, list] = {}
         # ---- post/start/complete/wait -------------------------------
+        #: post tokens received, per posting target rank
         self.post_tokens: dict[int, int] = {}
+        #: complete tokens received, per origin rank: the origin's
+        #: cumulative op count on the LAPI stacks, 0 otherwise
         self.complete_cums: dict[int, deque] = {}
         self.exposure_origins: set[int] = set()
         self.access_targets: set[int] = set()
         # ---- passive target -----------------------------------------
         self.ledger = _LockLedger()
         self.passive: dict[int, str] = {}  # locked target rank -> lid
-        self.pt_cntr: dict[int, Counter] = {}
-        self.pt_due: dict[int, int] = {}
         self._granted: set[str] = set()
-        self._unlock_acked: set[str] = set()
         # ---- sync plumbing ------------------------------------------
         self._wake_evs: list = []
         self._freed = False
@@ -379,111 +375,271 @@ class Window(object):
         if self._freed:
             raise RmaError(f"window {self.name} has been freed")
 
+    def _trace(self, event: str, **fields) -> None:
+        self._engine.stats.trace("rma", event, win=self.name, **fields)
+
+    def _done_request(self, nbytes: int) -> Request:
+        """The already-completed request of a self-target rput/rget."""
+        req = Request(self._engine.env, "rma")
+        req.complete(count=nbytes)
+        return req
+
+    def _add_post_token(self, origin: int) -> None:
+        self.post_tokens[origin] = self.post_tokens.get(origin, 0) + 1
+        self._wake()
+
+    def _take_post_token(self, target: int) -> Generator:
+        yield from self._engine._wait_for(
+            self, lambda: self.post_tokens.get(target, 0) > 0)
+        self.post_tokens[target] -= 1
+
+    def _add_complete_token(self, origin: int, cum: int) -> None:
+        self.complete_cums.setdefault(origin, deque()).append(cum)
+        self._wake()
+
     # --------------------------------------------------- data movement
     def put(self, buf, target_rank: int, target_disp: int = 0,
             datatype=None, count: int = 1) -> Generator:
         """MPI_Put (optionally strided via a derived ``datatype``)."""
         self._check_live()
-        yield from self._engine.put(self, buf, target_rank, target_disp,
-                                    datatype, count)
+        eng, t = self._engine, target_rank
+        if datatype is None:
+            data = as_bytes(buf)
+            yield from eng._enter(self, t, len(data))
+        else:
+            yield from eng._enter(self)
+            data = datatype.pack(buf, count)
+            yield from eng.cpu.memcpy("user", len(data))
+        mid = eng._record(self, "put", "put", tgt=t, bytes=len(data))
+        ranges = None if datatype is None else datatype._flat_ranges(count)
+        if t == self.comm.rank:
+            yield from _local_put(eng.cpu, self, target_disp, data, ranges)
+        else:
+            yield from eng._put(self, t, target_disp, data, ranges, mid)
 
     def get(self, buf, target_rank: int, target_disp: int = 0,
             datatype=None, count: int = 1) -> Generator:
         """MPI_Get (optionally strided via a derived ``datatype``)."""
         self._check_live()
-        yield from self._engine.get(self, buf, target_rank, target_disp,
-                                    datatype, count)
+        eng, t = self._engine, target_rank
+        yield from eng._enter(self)
+        n = datatype.size * count if datatype is not None else len(as_writable(buf))
+        mid = eng._record(self, "get", "get", tgt=t, bytes=n)
+        if t == self.comm.rank:
+            yield from _local_get(eng.cpu, self, buf, target_disp, n,
+                                  datatype, count)
+        else:
+            yield from eng._get(self, buf, t, target_disp, n, datatype, count,
+                                mid)
 
     def accumulate(self, buf, target_rank: int, target_disp: int = 0,
                    op: str = "sum", dtype: Optional[str] = None) -> Generator:
         """MPI_Accumulate (element-wise, atomic per message)."""
-        self._check_live()
-        yield from self._engine.accumulate(self, buf, target_rank,
-                                           target_disp, op, dtype)
+        return self._acc(buf, None, target_rank, target_disp, op, dtype)
 
     def get_accumulate(self, buf, result, target_rank: int,
                        target_disp: int = 0, op: str = "sum",
                        dtype: Optional[str] = None) -> Generator:
         """MPI_Get_accumulate: fetch old contents, then apply."""
+        return self._acc(buf, result, target_rank, target_disp, op, dtype)
+
+    def _acc(self, buf, result, t: int, disp: int, op: str,
+             dtype: Optional[str]) -> Generator:
         self._check_live()
-        yield from self._engine.get_accumulate(self, buf, result, target_rank,
-                                               target_disp, op, dtype)
+        _check_acc_op(op)
+        eng = self._engine
+        yield from eng._enter(self)
+        data = as_bytes(buf)
+        dt = _acc_dtype(buf, dtype)
+        event, metric = (("accumulate", "acc") if result is None
+                         else ("get_accumulate", "gacc"))
+        mid = eng._record(self, event, metric, tgt=t, op=op, bytes=len(data))
+        if t == self.comm.rank:
+            yield from _local_acc(eng.cpu, "user", self.mem, disp, data, op,
+                                  dt, result)
+        else:
+            yield from eng._acc(self, result, t, disp, data, op, dt, mid)
 
     def fetch_and_op(self, value: int, target_rank: int, target_disp: int = 0,
                      op: str = "sum") -> Generator:
         """MPI_Fetch_and_op on one 64-bit word; returns the old value.
         Blocking (the scalar rmw round-trip *is* the completion)."""
         self._check_live()
-        return (yield from self._engine.fetch_and_op(
-            self, value, target_rank, target_disp, op))
+        if op not in _RMW_OF:
+            raise RmaError(
+                f"fetch_and_op supports {sorted(_RMW_OF)}, not {op!r}")
+        return (yield from self._rmw(op, value, None, target_rank,
+                                     target_disp))
 
     def compare_and_swap(self, value: int, compare: int, target_rank: int,
                          target_disp: int = 0) -> Generator:
         """MPI_Compare_and_swap on one 64-bit word; returns the old value."""
         self._check_live()
-        return (yield from self._engine.compare_and_swap(
-            self, value, compare, target_rank, target_disp))
+        return (yield from self._rmw("cas", value, compare, target_rank,
+                                     target_disp))
+
+    def _rmw(self, op: str, value: int, compare: Optional[int], t: int,
+             disp: int) -> Generator:
+        eng = self._engine
+        yield from eng._enter(self)
+        mid = eng._record(self, "rmw", "rmw", tgt=t, op=op)
+        if t == self.comm.rank:
+            return _local_rmw(self, op, value, compare, disp)
+        return (yield from eng._rmw(self, op, value, compare, t, disp, mid))
 
     def rput(self, buf, target_rank: int, target_disp: int = 0) -> Generator:
         """MPI_Rput: returns a :class:`Request` that completes when the
         data has been applied at the target."""
         self._check_live()
-        return (yield from self._engine.rput(self, buf, target_rank,
-                                             target_disp))
+        eng, t = self._engine, target_rank
+        yield from eng._enter(self)
+        data = as_bytes(buf)
+        mid = eng._record(self, "rput", "put", tgt=t, bytes=len(data))
+        if t == self.comm.rank:
+            yield from _local_put(eng.cpu, self, target_disp, data)
+            return self._done_request(len(data))
+        return (yield from eng._rput(self, t, target_disp, data, mid))
 
     def rget(self, buf, target_rank: int, target_disp: int = 0) -> Generator:
         """MPI_Rget: returns a :class:`Request` that completes when the
         data has landed in ``buf``."""
         self._check_live()
-        return (yield from self._engine.rget(self, buf, target_rank,
-                                             target_disp))
+        eng, t = self._engine, target_rank
+        yield from eng._enter(self)
+        n = len(as_writable(buf))
+        mid = eng._record(self, "rget", "get", tgt=t, bytes=n)
+        if t == self.comm.rank:
+            yield from _local_get(eng.cpu, self, buf, target_disp, n, None, 1)
+            return self._done_request(n)
+        return (yield from eng._rget(self, buf, t, target_disp, n, mid))
 
     # --------------------------------------------------- synchronization
     def fence(self) -> Generator:
         """MPI_Win_fence: close the epoch on every rank (collective)."""
         self._check_live()
-        yield from self._engine.fence(self)
+        eng = self._engine
+        yield from eng._enter(self)
+        eng.metrics.counter("rma.fence").incr()
+        epoch = self.fence_epoch
+        self._trace("fence_enter", epoch=epoch)
+        yield from eng._quiesce(self)
+        yield from eng._fence(self, epoch)
+        self.fence_epoch += 1
+        self._trace("fence_exit", epoch=epoch)
 
     def post(self, origin_ranks: Sequence[int]) -> Generator:
         """MPI_Win_post: expose the window to ``origin_ranks``."""
         self._check_live()
-        yield from self._engine.post(self, list(origin_ranks))
+        eng, ranks = self._engine, list(origin_ranks)
+        yield from eng._enter(self)
+        eng.metrics.counter("rma.post").incr()
+        self._trace("post", origins=len(ranks))
+        self.exposure_origins = set(ranks)
+        me = self.comm.rank
+        for r in ranks:
+            if r == me:
+                self._add_post_token(me)
+            else:
+                yield from eng._send_post(self, r)
 
     def start(self, target_ranks: Sequence[int]) -> Generator:
         """MPI_Win_start: open an access epoch to ``target_ranks``."""
         self._check_live()
-        yield from self._engine.start(self, list(target_ranks))
+        eng, ranks = self._engine, list(target_ranks)
+        yield from eng._enter(self)
+        self._trace("start", targets=len(ranks))
+        self.access_targets = set(ranks)
+        me = self.comm.rank
+        for r in sorted(ranks):
+            if r == me:
+                yield from self._take_post_token(me)
+            else:
+                yield from eng._await_post(self, r)
 
     def complete(self) -> Generator:
         """MPI_Win_complete: close the access epoch."""
         self._check_live()
-        yield from self._engine.complete(self)
+        eng = self._engine
+        yield from eng._enter(self)
+        yield from eng._quiesce(self)
+        self._trace("complete", targets=len(self.access_targets))
+        me = self.comm.rank
+        for t in sorted(self.access_targets):
+            if t == me:
+                self._add_complete_token(me, 0)
+            else:
+                yield from eng._send_complete(self, t)
+        self.access_targets = set()
 
     def wait(self) -> Generator:
         """MPI_Win_wait: close the exposure epoch."""
         self._check_live()
-        yield from self._engine.wait(self)
+        eng = self._engine
+        yield from eng._enter(self)
+        me = self.comm.rank
+        for o in sorted(self.exposure_origins):
+            if o == me:
+                yield from eng._wait_for(self,
+                                         lambda: self.complete_cums.get(me))
+                self.complete_cums[me].popleft()
+            else:
+                yield from eng._await_complete(self, o)
+        self.exposure_origins = set()
+        self._trace("wait_done")
 
     def lock(self, target_rank: int, exclusive: bool = True) -> Generator:
         """MPI_Win_lock (shared with ``exclusive=False``)."""
         self._check_live()
-        yield from self._engine.lock(self, target_rank, exclusive)
+        eng, t = self._engine, target_rank
+        if t in self.passive:
+            raise RmaError(f"target {t} already locked by this origin")
+        yield from eng._enter(self)
+        eng.metrics.counter("rma.lock").incr()
+        lid = eng._lock_id()
+        self._trace("lock", tgt=t, lid=lid, excl=exclusive)
+        if t != self.comm.rank:
+            yield from eng._lock(self, t, lid, exclusive)
+        elif not self.ledger.try_acquire(lid, exclusive):
+            self.ledger.enqueue(lid, exclusive, None)
+            yield from eng._wait_for(self, lambda: lid in self._granted)
+            self._granted.discard(lid)
+        self.passive[t] = lid
 
     def flush(self, target_rank: int) -> Generator:
         """MPI_Win_flush: complete all ops to the target inside the
         current passive epoch, without releasing the lock."""
         self._check_live()
-        yield from self._engine.flush(self, target_rank)
+        eng, t = self._engine, target_rank
+        if t not in self.passive:
+            raise RmaError(f"flush({t}) outside a passive epoch")
+        yield from eng._enter(self)
+        self._trace("flush", tgt=t)
+        yield from eng._flush(self, t)
 
     def unlock(self, target_rank: int) -> Generator:
         """MPI_Win_unlock: flushes, then releases the target's lock."""
         self._check_live()
-        yield from self._engine.unlock(self, target_rank)
+        eng, t = self._engine, target_rank
+        lid = self.passive.get(t)
+        if lid is None:
+            raise RmaError(f"target {t} is not locked by this origin")
+        yield from eng._enter(self)
+        # flush: every op of this epoch applied/served at the target
+        yield from eng._flush(self, t)
+        self._trace("unlock", tgt=t, lid=lid)
+        if t == self.comm.rank:
+            yield from eng._release("user", self, lid)
+        else:
+            yield from eng._unlock(self, t, lid)
+        del self.passive[t]
 
     def free(self) -> Generator:
         """MPI_Win_free (collective; quiesces like a fence first)."""
-        self._check_live()
-        yield from self._engine.free(self)
+        yield from self.fence()  # quiesce + synchronize all ranks
+        eng = self._engine
+        yield from eng._teardown(self)
+        del eng._windows[self.name]
+        self._trace("win_free")
         self._freed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -504,7 +660,12 @@ def win_create(comm, buf) -> Generator:
     else:
         mem = WindowBuffer(as_bytes(buf))
     engine = comm.backend.ensure_rma_engine()
-    win = yield from engine.win_create(comm, mem)
+    win = Window(engine, comm, mem, _window_name(comm))
+    yield from engine._setup(win)
+    engine.metrics.counter("rma.windows").incr()
+    win._trace("win_create", bytes=len(mem))
+    # nobody may target a window before every rank has set it up
+    yield from comm.barrier()
     return win
 
 
@@ -515,9 +676,109 @@ def _window_name(comm) -> str:
 
 
 # ======================================================================
+#                     shared engine base (MPI half)
+# ======================================================================
+class RmaEngine:
+    """What both transports share below :class:`Window`: the window
+    table, owed replies, ids, the call record, and the target side of
+    the lock ledger.  One engine per backend.  Subclasses supply the
+    transport hooks: ``_enter`` (entry charge), ``_wait_for`` (their
+    own wait loop), ``_put``/``_get``/``_acc``/``_rmw``/``_rput``/
+    ``_rget`` (issue to a remote target), ``_send_post``/
+    ``_await_post``/``_send_complete``/``_await_complete`` (remote PSCW
+    tokens), ``_lock``/``_unlock``/``_grant``, ``_quiesce``/``_fence``/
+    ``_flush``, and ``_setup``/``_teardown`` of the per-window
+    transport state they keep in ``_windows``.
+    """
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.env = backend.env
+        self.cpu = backend.cpu
+        self.params = backend.params
+        self.stats = backend.stats
+        self.metrics = backend.metrics
+        #: window name -> this engine's transport state for the window
+        self._windows: dict[str, Any] = {}
+        #: reply id -> state of a reply owed to this rank
+        self._pending: dict[int, Any] = {}
+        self._rids = itertools.count()
+        self._lock_ids = itertools.count()
+
+    def _mint(self) -> Optional[str]:
+        """Message id the transport threads through (none by default)."""
+        return None
+
+    def _record(self, win: Window, event: str, metric: str,
+                **fields) -> Optional[str]:
+        """Count and trace one data-movement call; returns its mid."""
+        self.metrics.counter("rma." + metric).incr()
+        mid = self._mint()
+        if mid is not None:
+            fields["mid"] = mid
+        win._trace(event, **fields)
+        return mid
+
+    def _lock_id(self) -> str:
+        """Cluster-unique lock id."""
+        return f"{self.backend.task_id}:{next(self._lock_ids)}"
+
+    def _acquire(self, thread: str, win: Window, lid: str, exclusive: bool,
+                 ref) -> Generator:
+        """Target side of a remote lock request."""
+        if win.ledger.try_acquire(lid, exclusive):
+            yield from self._grant(thread, win, lid, ref)
+        else:
+            win.ledger.enqueue(lid, exclusive, ref)
+
+    def _release(self, thread: str, win: Window, lid: str) -> Generator:
+        """Release ``lid`` at this target and route the grants it frees."""
+        for lid2, _excl2, ref in win.ledger.release(lid):
+            if ref is None:
+                win._granted.add(lid2)
+                win._wake()
+            else:
+                yield from self._grant(thread, win, lid2, ref)
+
+
+# ======================================================================
 #                        LAPI engine (thin mapping)
 # ======================================================================
-class LapiRmaEngine:
+class _LapiWin:
+    """The LAPI engine's transport state for one window."""
+
+    __slots__ = ("win", "sent_to", "fenced", "applied_from",
+                 "applied_cid_at", "fence_marks", "deferred", "reply_cntr",
+                 "replies_due", "pt_cntr", "pt_due", "unlock_acked")
+
+    def __init__(self, win: Window, reply_cntr: Counter):
+        size = win.comm.size
+        self.win = win
+        #: ops issued to each target rank that bump its applied counter
+        self.sent_to = [0] * size
+        #: ``sent_to`` as of my last fence: the floor every later op to
+        #: that target carries (cumulative, never reset)
+        self.fenced = [0] * size
+        #: per-origin applied counters at *this* target
+        self.applied_from: dict[int, Counter] = {}
+        #: counter id of my row in each target's applied table
+        self.applied_cid_at: dict[int, int] = {}
+        self.fence_marks: dict[int, dict[int, int]] = {}
+        #: small contiguous puts queued until the closing sync: the last
+        #: one carries the fence marker piggybacked, saving the
+        #: standalone marker packet on the critical path
+        self.deferred: dict[int, list] = {}
+        #: replies (get/sget/gacc data) owed to this origin outside a
+        #: passive epoch, and the counter their arrivals bump
+        self.reply_cntr = reply_cntr
+        self.replies_due = 0
+        #: per-target completion counters of passive epochs
+        self.pt_cntr: dict[int, Counter] = {}
+        self.pt_due: dict[int, int] = {}
+        self.unlock_acked: set[str] = set()
+
+
+class LapiRmaEngine(RmaEngine):
     """RMA over LAPI primitives: one engine per :class:`LapiBackend`.
 
     Contiguous put/get map straight onto ``LAPI_Put``/``LAPI_Get`` into
@@ -531,17 +792,8 @@ class LapiRmaEngine:
     """
 
     def __init__(self, backend):
-        self.backend = backend
+        super().__init__(backend)
         self.lapi = backend.lapi
-        self.env = backend.env
-        self.cpu = backend.cpu
-        self.params = backend.params
-        self.stats = backend.stats
-        self.metrics = backend.metrics
-        self._windows: dict[str, Window] = {}
-        self._pending: dict[int, tuple] = {}  # gid -> sget/gacc reply state
-        self._gids = itertools.count()
-        self._lock_ids = itertools.count()
         self._mids = itertools.count()
         for name, fn in (
             ("rma_sput", self._hh_sput),
@@ -566,7 +818,7 @@ class LapiRmaEngine:
         """Cluster-unique RMA message id (see ``Backend.mint_mid``)."""
         return f"rma{self.backend.task_id}:{next(self._mids)}"
 
-    def _win(self, name: str) -> Window:
+    def _win(self, name: str) -> _LapiWin:
         try:
             return self._windows[name]
         except KeyError:
@@ -591,47 +843,70 @@ class LapiRmaEngine:
                 continue
             yield AnyOf(self.env, [lapi.hal.wait_rx(), win.sync_event()])
 
-    def _flush_deferred(self, win: Window, t: int,
+    def _wait_for(self, win: Window, cond) -> Generator:
+        return self._wait("user", win, cond)
+
+    def _defers(self, win: Window, t: int, nbytes: int) -> bool:
+        """Whether a contiguous put is queued until the closing sync."""
+        return (t != win.comm.rank and t not in win.passive
+                and nbytes <= self.params.rma_agg_limit)
+
+    def _enter(self, win: Window, t: Optional[int] = None,
+               put_bytes: Optional[int] = None) -> Generator:
+        p = self.params
+        queued = put_bytes is not None and self._defers(win, t, put_bytes)
+        yield from self.cpu.execute("user",
+                                    p.rma_queue_us if queued else p.rma_call_us)
+
+    def _applied(self, st: _LapiWin, t: int) -> dict:
+        """LAPI arguments that make target ``t`` count an op applied —
+        once every op I issued it before my last fence has been."""
+        return {"tgt_cntr_id": st.applied_cid_at[t],
+                "tgt_cntr_floor": st.fenced[t]}
+
+    def _flush_deferred(self, st: _LapiWin, t: int,
                         hold_last: bool = False):
         """Issue the puts queued for ``t``.  With ``hold_last`` the final
         op is returned un-issued so the caller can piggyback the fence
         marker on it; otherwise everything goes out as plain puts.
         Called before any other op type to the same target, so program
         order within the epoch is preserved."""
-        dq = win.deferred.pop(t, None)
+        dq = st.deferred.pop(t, None)
         if not dq:
             return None
         tail = dq.pop() if hold_last else None
         for disp, data, mid in dq:
             yield from self.lapi.put(
-                "user", win.task_of(t), win.name, disp, data,
-                tgt_cntr_id=win.applied_cid_at[t], mid=mid)
+                "user", st.win.task_of(t), st.win.name, disp, data, mid=mid,
+                **self._applied(st, t))
         return tail
 
-    def _acct_issue(self, win: Window, t: int) -> Counter:
-        """Book one owed reply; returns the counter the reply bumps
-        (per-target during a passive epoch, the window's otherwise)."""
-        if t in win.passive:
-            win.pt_due[t] += 1
-            return win.pt_cntr[t]
-        win.replies_due += 1
-        return win.reply_cntr
+    def _issue(self, st: _LapiWin, t: int) -> Generator:
+        """Count one more op to ``t`` (after the puts queued for it) and
+        return its :meth:`_applied` arguments."""
+        yield from self._flush_deferred(st, t)
+        st.sent_to[t] += 1
+        return self._applied(st, t)
 
-    def _passive_cmpl(self, win: Window, t: int) -> Optional[Counter]:
-        """Completion-echo counter for store ops during a passive epoch
-        (unlock flushes on it); active epochs use applied counters and
-        need no per-op echo."""
-        if t in win.passive:
-            win.pt_due[t] += 1
-            return win.pt_cntr[t]
-        return None
+    def _owed(self, st: _LapiWin, t: int, reply: bool) -> Optional[Counter]:
+        """Book one owed completion; returns the counter it bumps.  In a
+        passive epoch every op owes one on the target's counter (unlock
+        flushes on it); otherwise only a ``reply`` (fetched data) is
+        owed, on the window's counter — applied counters cover stores."""
+        if t in st.win.passive:
+            st.pt_due[t] += 1
+            return st.pt_cntr[t]
+        if not reply:
+            return None
+        st.replies_due += 1
+        return st.reply_cntr
 
-    # --------------------------------------------------------- win_create
-    def win_create(self, comm, mem: WindowBuffer) -> Generator:
-        name = _window_name(comm)
-        win = Window(self, comm, mem, name)
-        self._windows[name] = win
-        size = comm.size
+    # ------------------------------------------------- set-up/tear-down
+    def _setup(self, win: Window) -> Generator:
+        comm, name, size = win.comm, win.name, win.comm.size
+        reply = Counter(self.env, f"rma[{name}].reply")
+        reply.subscribe(lambda _c, w=win: w._wake())
+        st = self._windows[name] = _LapiWin(win, reply)
         # per-origin applied counters, remotely addressable by id
         cids = [0] * size
         for r in range(size):
@@ -639,244 +914,143 @@ class LapiRmaEngine:
                 continue
             cid, cntr = self.lapi.create_counter(f"rma[{name}][{r}]")
             cntr.subscribe(lambda _c, w=win: w._wake())
-            win.applied_from[r] = cntr
+            st.applied_from[r] = cntr
             cids[r] = cid
-        win.reply_cntr = Counter(self.env, f"rma[{name}].reply")
-        win.reply_cntr.subscribe(lambda _c, w=win: w._wake())
         # exchange the applied-counter ids (one allgather of int64 rows)
         row = np.asarray(cids, dtype=np.int64)
         mat = np.zeros((size, size), dtype=np.int64)
         yield from comm.allgather(row, mat)
         for t in range(size):
             if t != comm.rank:
-                win.applied_cid_at[t] = int(mat[t, comm.rank])
-        self.lapi.address_init(name, mem)
-        self.metrics.counter("rma.windows").incr()
-        self.stats.trace("rma", "win_create", win=name, bytes=len(mem))
-        # nobody may target a window before every rank registered it
-        yield from comm.barrier()
-        return win
+                st.applied_cid_at[t] = int(mat[t, comm.rank])
+        self.lapi.address_init(name, win.mem)
 
-    # ------------------------------------------------------------- put
-    def put(self, win: Window, buf, t: int, disp: int, datatype,
-            count: int) -> Generator:
-        p = self.params
-        if datatype is None:
-            data = as_bytes(buf)
-            defer = (t != win.comm.rank and t not in win.passive
-                     and len(data) <= p.rma_agg_limit)
-            yield from self.cpu.execute(
-                "user", p.rma_queue_us if defer else p.rma_call_us)
-        else:
-            defer = False
-            yield from self.cpu.execute("user", p.rma_call_us)
-            data = datatype.pack(buf, count)
-            yield from self.cpu.memcpy("user", len(data))
-        self.metrics.counter("rma.put").incr()
-        mid = self._mint()
-        self.stats.trace("rma", "put", win=win.name, tgt=t, bytes=len(data),
-                         mid=mid)
-        if t == win.comm.rank:
-            yield from _local_put(self.cpu, win, disp, data, datatype, count)
-            return
-        if defer:
+    def _teardown(self, win: Window) -> Generator:
+        self.lapi.address_fini(win.name)
+        yield from ()
+
+    # ----------------------------------------------------- remote ops
+    def _put(self, win: Window, t: int, disp: int, data, ranges,
+             mid: str) -> Generator:
+        st = self._windows[win.name]
+        if ranges is None and self._defers(win, t, len(data)):
             # deferred issue: queue until the closing sync.  The origin
             # buffer may not be modified until then (MPI-3 semantics),
             # so holding the caller's view stays zero-copy.
-            win.sent_to[t] += 1
-            win.deferred.setdefault(t, []).append((disp, data, mid))
+            st.sent_to[t] += 1
+            st.deferred.setdefault(t, []).append((disp, data, mid))
             self.metrics.counter("rma.put_deferred").incr()
             return
-        yield from self._flush_deferred(win, t)
-        win.sent_to[t] += 1
-        cmpl = self._passive_cmpl(win, t)
-        if datatype is None:
+        kw = yield from self._issue(st, t)
+        cmpl = self._owed(st, t, False)
+        if ranges is None:
             yield from self.lapi.put(
-                "user", win.task_of(t), win.name, disp, data,
-                tgt_cntr_id=win.applied_cid_at[t], cmpl_cntr=cmpl, mid=mid)
+                "user", win.task_of(t), win.name, disp, data, cmpl_cntr=cmpl,
+                mid=mid, **kw)
         else:
             yield from self.lapi.amsend(
                 "user", win.task_of(t), "rma_sput",
-                {"w": win.name, "base": disp,
-                 "ranges": datatype._flat_ranges(count)},
-                data, tgt_cntr_id=win.applied_cid_at[t], cmpl_cntr=cmpl,
-                mid=mid)
+                {"w": win.name, "base": disp, "ranges": ranges},
+                data, cmpl_cntr=cmpl, mid=mid, **kw)
 
-    # ------------------------------------------------------------- get
-    def get(self, win: Window, buf, t: int, disp: int, datatype,
-            count: int) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        n = datatype.size * count if datatype is not None else len(as_writable(buf))
-        self.metrics.counter("rma.get").incr()
-        mid = self._mint()
-        self.stats.trace("rma", "get", win=win.name, tgt=t, bytes=n, mid=mid)
-        if t == win.comm.rank:
-            yield from _local_get(self.cpu, win, buf, disp, n, datatype, count)
-            return
-        yield from self._flush_deferred(win, t)
-        win.sent_to[t] += 1
-        acct = self._acct_issue(win, t)
+    def _get(self, win: Window, buf, t: int, disp: int, n: int, datatype,
+             count: int, mid: str) -> Generator:
+        st = self._windows[win.name]
+        kw = yield from self._issue(st, t)
+        acct = self._owed(st, t, True)
         if datatype is None:
             yield from self.lapi.get(
                 "user", win.task_of(t), win.name, disp, n, as_writable(buf),
-                org_cntr=acct, tgt_cntr_id=win.applied_cid_at[t], mid=mid)
+                org_cntr=acct, mid=mid, **kw)
         else:
-            gid = next(self._gids)
+            rid = next(self._rids)
             tmp = bytearray(n)
-            self._pending[gid] = ("sget", win, tmp, datatype, buf, count, acct)
+            self._pending[rid] = (tmp, datatype, buf, count, acct)
             yield from self.lapi.amsend(
                 "user", win.task_of(t), "rma_sget",
                 {"w": win.name, "base": disp,
-                 "ranges": datatype._flat_ranges(count), "n": n, "gid": gid,
+                 "ranges": datatype._flat_ranges(count), "n": n, "gid": rid,
                  "origin": self.backend.task_id},
-                tgt_cntr_id=win.applied_cid_at[t], mid=mid)
+                mid=mid, **kw)
 
-    # ------------------------------------------------------ accumulate
-    def accumulate(self, win: Window, buf, t: int, disp: int, op: str,
-                   dtype: Optional[str]) -> Generator:
-        if op not in ACC_OPS:
-            raise RmaError(f"unknown accumulate op {op!r}")
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        data = as_bytes(buf)
-        dt = _acc_dtype(buf, dtype)
-        self.metrics.counter("rma.acc").incr()
-        mid = self._mint()
-        self.stats.trace("rma", "accumulate", win=win.name, tgt=t, op=op,
-                         bytes=len(data), mid=mid)
-        if t == win.comm.rank:
-            yield from _local_acc(self.cpu, win, disp, data, op, dt)
+    def _acc(self, win: Window, result, t: int, disp: int, data, op: str,
+             dt: str, mid: str) -> Generator:
+        st = self._windows[win.name]
+        kw = yield from self._issue(st, t)
+        owed = self._owed(st, t, result is not None)
+        uhdr = {"w": win.name, "off": disp, "op": op, "dt": dt}
+        if result is None:
+            yield from self.lapi.amsend("user", win.task_of(t), "rma_acc",
+                                        uhdr, data, cmpl_cntr=owed, mid=mid,
+                                        **kw)
             return
-        yield from self._flush_deferred(win, t)
-        win.sent_to[t] += 1
-        cmpl = self._passive_cmpl(win, t)
-        yield from self.lapi.amsend(
-            "user", win.task_of(t), "rma_acc",
-            {"w": win.name, "off": disp, "op": op, "dt": dt}, data,
-            tgt_cntr_id=win.applied_cid_at[t], cmpl_cntr=cmpl, mid=mid)
+        rid = next(self._rids)
+        self._pending[rid] = (as_writable(result), owed)
+        uhdr.update(gid=rid, origin=self.backend.task_id)
+        yield from self.lapi.amsend("user", win.task_of(t), "rma_gacc", uhdr,
+                                    data, mid=mid, **kw)
 
-    def get_accumulate(self, win: Window, buf, result, t: int, disp: int,
-                       op: str, dtype: Optional[str]) -> Generator:
-        if op not in ACC_OPS:
-            raise RmaError(f"unknown accumulate op {op!r}")
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        data = as_bytes(buf)
-        dt = _acc_dtype(buf, dtype)
-        self.metrics.counter("rma.gacc").incr()
-        mid = self._mint()
-        self.stats.trace("rma", "get_accumulate", win=win.name, tgt=t, op=op,
-                         bytes=len(data), mid=mid)
-        if t == win.comm.rank:
-            yield from _local_gacc(self.cpu, win, result, disp, data, op, dt)
-            return
-        yield from self._flush_deferred(win, t)
-        win.sent_to[t] += 1
-        acct = self._acct_issue(win, t)
-        gid = next(self._gids)
-        self._pending[gid] = ("gacc", win, as_writable(result), acct)
-        yield from self.lapi.amsend(
-            "user", win.task_of(t), "rma_gacc",
-            {"w": win.name, "off": disp, "op": op, "dt": dt, "gid": gid,
-             "origin": self.backend.task_id},
-            data, tgt_cntr_id=win.applied_cid_at[t], mid=mid)
-
-    # -------------------------------------------------- scalar atomics
-    def fetch_and_op(self, win: Window, value: int, t: int, disp: int,
-                     op: str) -> Generator:
-        if op not in _RMW_OF:
-            raise RmaError(
-                f"fetch_and_op supports {sorted(_RMW_OF)}, not {op!r}")
-        return (yield from self._rmw(win, op, value, None, t, disp))
-
-    def compare_and_swap(self, win: Window, value: int, compare: int, t: int,
-                         disp: int) -> Generator:
-        return (yield from self._rmw(win, "cas", value, compare, t, disp))
-
-    def _rmw(self, win: Window, op: str, value: int,
-             compare: Optional[int], t: int, disp: int) -> Generator:
-        rmw_op = "COMPARE_AND_SWAP" if op == "cas" else _RMW_OF[op]
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        self.metrics.counter("rma.rmw").incr()
-        self.stats.trace("rma", "rmw", win=win.name, tgt=t, op=rmw_op)
-        if t == win.comm.rank:
-            return _local_rmw(win, op, value, compare, disp)
-        yield from self._flush_deferred(win, t)
-        win.sent_to[t] += 1
+    def _rmw(self, win: Window, op: str, value: int, compare: Optional[int],
+             t: int, disp: int, mid: str) -> Generator:
+        st = self._windows[win.name]
+        kw = yield from self._issue(st, t)
         c = Counter(self.env, "rma.rmw")
         rid = yield from self.lapi.rmw(
-            "user", win.task_of(t), win.name, rmw_op,
+            "user", win.task_of(t), win.name,
+            "COMPARE_AND_SWAP" if op == "cas" else _RMW_OF[op],
             0 if op == "no_op" else value, prev_cntr=c,
-            compare_value=compare, tgt_off=disp,
-            tgt_cntr_id=win.applied_cid_at[t])
+            compare_value=compare, tgt_off=disp, mid=mid, **kw)
         yield from self.lapi.waitcntr("user", c, 1)
         _done, prev = self.lapi.rmw_result(rid)
         return prev
 
-    # -------------------------------------------------- request-based
-    def rput(self, win: Window, buf, t: int, disp: int) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        data = as_bytes(buf)
-        self.metrics.counter("rma.put").incr()
-        mid = self._mint()
-        self.stats.trace("rma", "rput", win=win.name, tgt=t, bytes=len(data),
-                         mid=mid)
-        if t == win.comm.rank:
-            yield from _local_put(self.cpu, win, disp, data, None, 1)
-            req = Request(self.env, "rma")
-            req.complete(count=len(data))
-            return req
-        yield from self._flush_deferred(win, t)
-        win.sent_to[t] += 1
+    def _rput(self, win: Window, t: int, disp: int, data,
+              mid: str) -> Generator:
+        st = self._windows[win.name]
+        kw = yield from self._issue(st, t)
         c = Counter(self.env, "rma.rput")
         req = Request.on_counter(self.env, "rma", c)
-        if t in win.passive:
-            win.pt_due[t] += 1
-            c.subscribe(lambda _c, w=win, tr=t: w.pt_cntr[tr].incr())
+        owed = self._owed(st, t, False)
+        if owed is not None:
+            c.subscribe(lambda _c, o=owed: o.incr())
         yield from self.lapi.put(
-            "user", win.task_of(t), win.name, disp, data,
-            tgt_cntr_id=win.applied_cid_at[t], cmpl_cntr=c, mid=mid)
+            "user", win.task_of(t), win.name, disp, data, cmpl_cntr=c,
+            mid=mid, **kw)
         return req
 
-    def rget(self, win: Window, buf, t: int, disp: int) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        n = len(as_writable(buf))
-        self.metrics.counter("rma.get").incr()
-        mid = self._mint()
-        self.stats.trace("rma", "rget", win=win.name, tgt=t, bytes=n, mid=mid)
-        if t == win.comm.rank:
-            yield from _local_get(self.cpu, win, buf, disp, n, None, 1)
-            req = Request(self.env, "rma")
-            req.complete(count=n)
-            return req
-        yield from self._flush_deferred(win, t)
-        win.sent_to[t] += 1
+    def _rget(self, win: Window, buf, t: int, disp: int, n: int,
+              mid: str) -> Generator:
+        st = self._windows[win.name]
+        kw = yield from self._issue(st, t)
         c = Counter(self.env, "rma.rget")
         req = Request.on_counter(self.env, "rma", c)
-        acct = self._acct_issue(win, t)
+        acct = self._owed(st, t, True)
         c.subscribe(lambda _c, a=acct: a.incr())
         yield from self.lapi.get(
             "user", win.task_of(t), win.name, disp, n, as_writable(buf),
-            org_cntr=c, tgt_cntr_id=win.applied_cid_at[t], mid=mid)
+            org_cntr=c, mid=mid, **kw)
         return req
 
     # ----------------------------------------------------------- fence
-    def fence(self, win: Window) -> Generator:
-        """Marker fence: wait for owed replies, tell every peer how many
-        of my ops it should have applied (cumulative — order-independent
-        under multi-route delivery), then wait for every peer's marker
+    def _quiesce(self, win: Window) -> Generator:
+        st = self._windows[win.name]
+        yield from self._wait(
+            "user", win, lambda: st.reply_cntr.value >= st.replies_due)
+
+    def _fence(self, win: Window, epoch: int) -> Generator:
+        """Marker fence: tell every peer how many of my ops it should
+        have applied (cumulative), then wait for every peer's marker
         *and* the matching applied counts.  One small message per peer
         per fence; no per-op origin echo, and no dependence on the
-        delayed transport ack (``lapi_ack_delay_us``)."""
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        self.metrics.counter("rma.fence").incr()
-        epoch = win.fence_epoch
-        self.stats.trace("rma", "fence_enter", win=win.name, epoch=epoch)
-        yield from self._wait(
-            "user", win, lambda: win.reply_cntr.value >= win.replies_due)
+        delayed transport ack (``lapi_ack_delay_us``).  I may leave
+        before a peer has applied my ops; the floor my later ops carry
+        keeps them behind."""
+        st = self._windows[win.name]
         me = win.comm.rank
         for r in range(win.comm.size):
             if r == me:
                 continue
-            tail = yield from self._flush_deferred(win, r, hold_last=True)
+            tail = yield from self._flush_deferred(st, r, hold_last=True)
             if tail is not None:
                 # the epoch's last put carries the marker: one packet
                 # does data + synchronization
@@ -884,173 +1058,94 @@ class LapiRmaEngine:
                 yield from self.lapi.amsend(
                     "user", win.task_of(r), "rma_put_f",
                     {"w": win.name, "off": disp, "e": epoch,
-                     "c": win.sent_to[r], "o": me}, data,
-                    tgt_cntr_id=win.applied_cid_at[r], mid=mid)
+                     "c": st.sent_to[r], "o": me}, data, mid=mid,
+                    **self._applied(st, r))
             else:
                 yield from self.lapi.amsend(
                     "user", win.task_of(r), "rma_fence",
-                    {"w": win.name, "e": epoch, "c": win.sent_to[r], "o": me})
+                    {"w": win.name, "e": epoch, "c": st.sent_to[r], "o": me})
+            st.fenced[r] = st.sent_to[r]
         yield from self._wait("user", win,
-                              lambda: self._fence_ready(win, epoch))
-        win.fence_marks.pop(epoch, None)
-        win.fence_epoch += 1
-        self.stats.trace("rma", "fence_exit", win=win.name, epoch=epoch)
+                              lambda: self._fence_ready(st, epoch))
+        st.fence_marks.pop(epoch, None)
 
-    def _fence_ready(self, win: Window, epoch: int) -> bool:
-        marks = win.fence_marks.get(epoch, {})
-        for r in range(win.comm.size):
-            if r == win.comm.rank:
+    def _fence_ready(self, st: _LapiWin, epoch: int) -> bool:
+        marks = st.fence_marks.get(epoch, {})
+        for r in range(st.win.comm.size):
+            if r == st.win.comm.rank:
                 continue
             cum = marks.get(r)
             if cum is None:
                 return False
-            if cum > 0 and win.applied_from[r].value < cum:
+            if cum > 0 and st.applied_from[r].value < cum:
                 return False
         return True
 
-    # ------------------------------------------- post/start/complete/wait
-    def post(self, win: Window, ranks: list[int]) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        self.metrics.counter("rma.post").incr()
-        self.stats.trace("rma", "post", win=win.name, origins=len(ranks))
-        win.exposure_origins = set(ranks)
-        me = win.comm.rank
-        for r in ranks:
-            if r == me:
-                win.post_tokens[me] = win.post_tokens.get(me, 0) + 1
-                win._wake()
-            else:
-                yield from self.lapi.amsend(
-                    "user", win.task_of(r), "rma_post",
-                    {"w": win.name, "o": me})
+    def _mark(self, name: str, epoch: int, origin: int, cum: int) -> None:
+        """Record a peer's fence marker."""
+        st = self._win(name)
+        st.fence_marks.setdefault(epoch, {})[origin] = cum
+        st.win._wake()
 
-    def start(self, win: Window, ranks: list[int]) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        self.stats.trace("rma", "start", win=win.name, targets=len(ranks))
-        win.access_targets = set(ranks)
-        for r in sorted(ranks):
-            yield from self._wait(
-                "user", win, lambda r=r: win.post_tokens.get(r, 0) > 0)
-            win.post_tokens[r] -= 1
+    # ------------------------------------------------------ PSCW tokens
+    def _send_post(self, win: Window, r: int) -> Generator:
+        yield from self.lapi.amsend("user", win.task_of(r), "rma_post",
+                                    {"w": win.name, "o": win.comm.rank})
 
-    def complete(self, win: Window) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
+    def _await_post(self, win: Window, r: int) -> Generator:
+        return win._take_post_token(r)
+
+    def _send_complete(self, win: Window, t: int) -> Generator:
+        st = self._windows[win.name]
+        yield from self._flush_deferred(st, t)
+        yield from self.lapi.amsend(
+            "user", win.task_of(t), "rma_complete",
+            {"w": win.name, "c": st.sent_to[t], "o": win.comm.rank})
+
+    def _await_complete(self, win: Window, o: int) -> Generator:
+        applied, cums = self._windows[win.name].applied_from[o], win.complete_cums
         yield from self._wait(
-            "user", win, lambda: win.reply_cntr.value >= win.replies_due)
-        me = win.comm.rank
-        self.stats.trace("rma", "complete", win=win.name,
-                         targets=len(win.access_targets))
-        for t in sorted(win.access_targets):
-            if t == me:
-                win.complete_cums.setdefault(me, deque()).append(0)
-                win._wake()
-            else:
-                yield from self._flush_deferred(win, t)
-                yield from self.lapi.amsend(
-                    "user", win.task_of(t), "rma_complete",
-                    {"w": win.name, "c": win.sent_to[t], "o": me})
-        win.access_targets = set()
-
-    def wait(self, win: Window) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        me = win.comm.rank
-        for o in sorted(win.exposure_origins):
-            if o == me:
-                yield from self._wait(
-                    "user", win, lambda: win.complete_cums.get(me))
-                win.complete_cums[me].popleft()
-                continue
-            yield from self._wait(
-                "user", win,
-                lambda o=o: bool(win.complete_cums.get(o))
-                and win.applied_from[o].value >= win.complete_cums[o][0])
-            win.complete_cums[o].popleft()
-        win.exposure_origins = set()
-        self.stats.trace("rma", "wait_done", win=win.name)
+            "user", win,
+            lambda: bool(cums.get(o)) and applied.value >= cums[o][0])
+        cums[o].popleft()
 
     # -------------------------------------------------- passive target
-    def lock(self, win: Window, t: int, exclusive: bool) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        if t in win.passive:
-            raise RmaError(f"target {t} already locked by this origin")
-        self.metrics.counter("rma.lock").incr()
-        lid = f"{self.backend.task_id}:{next(self._lock_ids)}"
-        self.stats.trace("rma", "lock", win=win.name, tgt=t, lid=lid,
-                         excl=exclusive)
-        if t == win.comm.rank:
-            if not win.ledger.try_acquire(lid, exclusive):
-                win.ledger.enqueue(lid, exclusive, ("local",))
-                yield from self._wait("user", win,
-                                      lambda: lid in win._granted)
-                win._granted.discard(lid)
-        else:
-            yield from self.lapi.amsend(
-                "user", win.task_of(t), "rma_lock",
-                {"w": win.name, "lid": lid, "x": exclusive,
-                 "ot": self.backend.task_id})
-            yield from self._wait("user", win, lambda: lid in win._granted)
-            win._granted.discard(lid)
-        win.passive[t] = lid
-        if t not in win.pt_cntr:
+    def _lock(self, win: Window, t: int, lid: str,
+              exclusive: bool) -> Generator:
+        st = self._windows[win.name]
+        yield from self.lapi.amsend(
+            "user", win.task_of(t), "rma_lock",
+            {"w": win.name, "lid": lid, "x": exclusive,
+             "ot": self.backend.task_id})
+        yield from self._wait("user", win, lambda: lid in win._granted)
+        win._granted.discard(lid)
+        if t not in st.pt_cntr:
             cntr = Counter(self.env, f"rma[{win.name}].pt{t}")
             cntr.subscribe(lambda _c, w=win: w._wake())
-            win.pt_cntr[t] = cntr
-            win.pt_due[t] = 0
+            st.pt_cntr[t] = cntr
+            st.pt_due[t] = 0
 
-    def flush(self, win: Window, t: int) -> Generator:
-        """MPI_Win_flush: all ops to ``t`` in this passive epoch are
-        applied at the target and any fetched data has landed."""
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        if t not in win.passive:
-            raise RmaError(f"flush({t}) outside a passive epoch")
-        self.stats.trace("rma", "flush", win=win.name, tgt=t)
-        if t in win.pt_cntr:
+    def _flush(self, win: Window, t: int) -> Generator:
+        """Every op to ``t`` in this passive epoch applied at the target
+        and any fetched data landed."""
+        st = self._windows[win.name]
+        if t in st.pt_cntr:
             yield from self._wait(
-                "user", win,
-                lambda: win.pt_cntr[t].value >= win.pt_due[t])
+                "user", win, lambda: st.pt_cntr[t].value >= st.pt_due[t])
 
-    def unlock(self, win: Window, t: int) -> Generator:
-        yield from self.cpu.execute("user", self.params.rma_call_us)
-        lid = win.passive.get(t)
-        if lid is None:
-            raise RmaError(f"target {t} is not locked by this origin")
-        # flush: every op of this epoch applied/served at the target
-        if t in win.pt_cntr:
-            yield from self._wait(
-                "user", win,
-                lambda: win.pt_cntr[t].value >= win.pt_due[t])
-        self.stats.trace("rma", "unlock", win=win.name, tgt=t, lid=lid)
-        if t == win.comm.rank:
-            grants = win.ledger.release(lid)
-            yield from self._route_grants("user", win, grants)
-        else:
-            yield from self.lapi.amsend(
-                "user", win.task_of(t), "rma_unlock",
-                {"w": win.name, "lid": lid, "ot": self.backend.task_id})
-            # the ack round-trip orders this release before any later
-            # lock we issue over a different fabric route
-            yield from self._wait("user", win,
-                                  lambda: lid in win._unlock_acked)
-            win._unlock_acked.discard(lid)
-        del win.passive[t]
+    def _unlock(self, win: Window, t: int, lid: str) -> Generator:
+        st = self._windows[win.name]
+        yield from self.lapi.amsend(
+            "user", win.task_of(t), "rma_unlock",
+            {"w": win.name, "lid": lid, "ot": self.backend.task_id})
+        # the ack round-trip orders this release before any later
+        # lock we issue over a different fabric route
+        yield from self._wait("user", win, lambda: lid in st.unlock_acked)
+        st.unlock_acked.discard(lid)
 
-    def _route_grants(self, thread: str, win: Window, grants) -> Generator:
-        for lid2, _excl2, ref in grants:
-            if ref[0] == "local":
-                win._granted.add(lid2)
-                win._wake()
-            else:
-                yield from self.lapi.amsend(
-                    thread, ref[1], "rma_lock_grant",
-                    {"w": win.name, "lid": lid2})
-
-    # ------------------------------------------------------------ free
-    def free(self, win: Window) -> Generator:
-        yield from self.fence(win)  # quiesce + synchronize all ranks
-        if hasattr(self.lapi, "address_fini"):
-            self.lapi.address_fini(win.name)
-        del self._windows[win.name]
-        self.stats.trace("rma", "win_free", win=win.name)
+    def _grant(self, thread: str, win: Window, lid: str, ref) -> Generator:
+        yield from self.lapi.amsend(thread, ref, "rma_lock_grant",
+                                    {"w": win.name, "lid": lid})
 
     # ------------------------------------------------- header handlers
     # All inline_always: target-side work runs in dispatcher context on
@@ -1058,19 +1153,14 @@ class LapiRmaEngine:
     # thread switch) — this is what makes passive target progress work
     # in both polling and interrupt modes.
     def _hh_sput(self, lapi, src, uhdr, mlen):
-        win = self._win(uhdr["w"])
-        win.mem.rma_epoch_dirty()
-        return (_StridedTarget(memoryview(win.mem), uhdr["base"],
+        mem = self._win(uhdr["w"]).win.mem
+        mem.rma_epoch_dirty()
+        return (_StridedTarget(memoryview(mem), uhdr["base"],
                                uhdr["ranges"]), None, None)
 
     def _hh_sget(self, lapi, src, uhdr, mlen):
         def reply(lapi_, thread, d):
-            win = self._win(d["w"])
-            view = memoryview(win.mem)
-            base = d["base"]
-            wire = b"".join(
-                bytes(view[base + off : base + off + ln])
-                for off, ln in d["ranges"])
+            wire = _gather(self._win(d["w"]).win.mem, d["base"], d["ranges"])
             yield from lapi_.cpu.memcpy(thread, len(wire))  # gather copy
             yield from lapi_.amsend(thread, d["origin"], "rma_sget_rep",
                                     {"gid": d["gid"]}, wire)
@@ -1078,8 +1168,7 @@ class LapiRmaEngine:
         return NullTarget(), reply, dict(uhdr)
 
     def _hh_sget_rep(self, lapi, src, uhdr, mlen):
-        _kind, _win, tmp, datatype, buf, count, acct = \
-            self._pending.pop(uhdr["gid"])
+        tmp, datatype, buf, count, acct = self._pending.pop(uhdr["gid"])
 
         def done(lapi_, thread, _d):
             datatype.unpack(bytes(tmp), buf, count)  # scatter copy
@@ -1092,10 +1181,9 @@ class LapiRmaEngine:
         scratch = bytearray(mlen)
 
         def apply(lapi_, thread, d):
-            win = self._win(d["w"])
             # synchronous before any yield => atomic wrt other handlers
-            _apply_acc(win.mem, d["off"], scratch, d["op"], d["dt"])
-            yield from lapi_.cpu.memcpy(thread, len(scratch))
+            yield from _local_acc(lapi_.cpu, thread, self._win(d["w"]).win.mem,
+                                  d["off"], scratch, d["op"], d["dt"])
 
         return ByteTarget(scratch), apply, dict(uhdr)
 
@@ -1103,18 +1191,16 @@ class LapiRmaEngine:
         scratch = bytearray(mlen)
 
         def apply(lapi_, thread, d):
-            win = self._win(d["w"])
-            off = d["off"]
-            old = bytes(memoryview(win.mem)[off : off + len(scratch)])
-            _apply_acc(win.mem, off, scratch, d["op"], d["dt"])
-            yield from lapi_.cpu.memcpy(thread, 2 * len(scratch))
+            old = bytearray(mlen)
+            yield from _local_acc(lapi_.cpu, thread, self._win(d["w"]).win.mem,
+                                  d["off"], scratch, d["op"], d["dt"], old)
             yield from lapi_.amsend(thread, d["origin"], "rma_gacc_rep",
-                                    {"gid": d["gid"]}, old)
+                                    {"gid": d["gid"]}, bytes(old))
 
         return ByteTarget(scratch), apply, dict(uhdr)
 
     def _hh_gacc_rep(self, lapi, src, uhdr, mlen):
-        _kind, _win, view, acct = self._pending.pop(uhdr["gid"])
+        view, acct = self._pending.pop(uhdr["gid"])
 
         def done(lapi_, thread, _d):
             acct.incr()
@@ -1123,69 +1209,54 @@ class LapiRmaEngine:
         return ByteTarget(view), done, None
 
     def _hh_fence(self, lapi, src, uhdr, mlen):
-        win = self._win(uhdr["w"])
-        win.fence_marks.setdefault(uhdr["e"], {})[uhdr["o"]] = uhdr["c"]
-        win._wake()
+        self._mark(uhdr["w"], uhdr["e"], uhdr["o"], uhdr["c"])
         return NullTarget(), None, None
 
     def _hh_put_f(self, lapi, src, uhdr, mlen):
         """A put with the origin's fence marker piggybacked: apply the
         data, then record the marker (the payload must land first)."""
-        win = self._win(uhdr["w"])
-        win.mem.rma_epoch_dirty()
+        mem = self._win(uhdr["w"]).win.mem
+        mem.rma_epoch_dirty()
 
         def mark(lapi_, thread, d):
-            w = self._win(d["w"])
-            w.fence_marks.setdefault(d["e"], {})[d["o"]] = d["c"]
-            w._wake()
+            self._mark(d["w"], d["e"], d["o"], d["c"])
             yield from lapi_.cpu.execute(thread, 0.0)
 
-        return ByteTarget(win.mem, base=uhdr["off"]), mark, dict(uhdr)
+        return ByteTarget(mem, base=uhdr["off"]), mark, dict(uhdr)
 
     def _hh_post(self, lapi, src, uhdr, mlen):
-        win = self._win(uhdr["w"])
-        o = uhdr["o"]
-        win.post_tokens[o] = win.post_tokens.get(o, 0) + 1
-        win._wake()
+        self._win(uhdr["w"]).win._add_post_token(uhdr["o"])
         return NullTarget(), None, None
 
     def _hh_complete(self, lapi, src, uhdr, mlen):
-        win = self._win(uhdr["w"])
-        win.complete_cums.setdefault(uhdr["o"], deque()).append(uhdr["c"])
-        win._wake()
+        self._win(uhdr["w"]).win._add_complete_token(uhdr["o"], uhdr["c"])
         return NullTarget(), None, None
 
     def _hh_lock(self, lapi, src, uhdr, mlen):
         def acquire(lapi_, thread, d):
-            win = self._win(d["w"])
-            if win.ledger.try_acquire(d["lid"], d["x"]):
-                yield from lapi_.amsend(thread, d["ot"], "rma_lock_grant",
-                                        {"w": d["w"], "lid": d["lid"]})
-            else:
-                win.ledger.enqueue(d["lid"], d["x"], ("remote", d["ot"]))
+            yield from self._acquire(thread, self._win(d["w"]).win, d["lid"],
+                                     d["x"], d["ot"])
 
         return NullTarget(), acquire, dict(uhdr)
 
     def _hh_lock_grant(self, lapi, src, uhdr, mlen):
-        win = self._win(uhdr["w"])
+        win = self._win(uhdr["w"]).win
         win._granted.add(uhdr["lid"])
         win._wake()
         return NullTarget(), None, None
 
     def _hh_unlock(self, lapi, src, uhdr, mlen):
         def release(lapi_, thread, d):
-            win = self._win(d["w"])
-            grants = win.ledger.release(d["lid"])
-            yield from self._route_grants(thread, win, grants)
+            yield from self._release(thread, self._win(d["w"]).win, d["lid"])
             yield from lapi_.amsend(thread, d["ot"], "rma_unlock_ack",
                                     {"w": d["w"], "lid": d["lid"]})
 
         return NullTarget(), release, dict(uhdr)
 
     def _hh_unlock_ack(self, lapi, src, uhdr, mlen):
-        win = self._win(uhdr["w"])
-        win._unlock_acked.add(uhdr["lid"])
-        win._wake()
+        st = self._win(uhdr["w"])
+        st.unlock_acked.add(uhdr["lid"])
+        st.win._wake()
         return NullTarget(), None, None
 
 
@@ -1209,7 +1280,21 @@ def _dec(view) -> tuple[dict, bytes]:
     return hdr, bytes(view[4 + n :])
 
 
-class NativeRmaEngine:
+class _NativeWin:
+    """The native engine's transport state for one window: its private
+    communicator and its window server."""
+
+    __slots__ = ("win", "comm", "stop", "stop_evs", "server")
+
+    def __init__(self, win: Window, comm):
+        self.win = win
+        self.comm = comm
+        self.stop = False
+        self.stop_evs: list = []
+        self.server = None
+
+
+class NativeRmaEngine(RmaEngine):
     """RMA emulated over two-sided send/recv on the Pipes stack.
 
     The reverse of the paper's layering contrast: where MPI-LAPI builds
@@ -1225,317 +1310,166 @@ class NativeRmaEngine:
     All traffic rides a private communicator (the window's comm context
     extended with ``("rma", seq)``) so it can never match user
     receives.  The server runs on the ``user`` thread: library-internal
-    progress, no extra context-switch charges.
+    progress, no extra context-switch charges.  Every request's reply
+    receive stays in ``_pending`` until a fence, complete or flush waits
+    it out.
     """
 
-    def __init__(self, backend):
-        self.backend = backend
-        self.env = backend.env
-        self.cpu = backend.cpu
-        self.params = backend.params
-        self.stats = backend.stats
-        self.metrics = backend.metrics
-        self._windows: dict[str, Window] = {}
-        self._rids = itertools.count()
-        self._lock_ids = itertools.count()
+    # -------------------------------------------------------- plumbing
+    def _enter(self, win: Window, t: Optional[int] = None,
+               put_bytes: Optional[int] = None) -> Generator:
+        yield from ()  # the emulation charges nothing at entry
 
-    # --------------------------------------------------------- win_create
-    def win_create(self, comm, mem: WindowBuffer) -> Generator:
-        from repro.mpi.api import Communicator
+    def _wait_for(self, win: Window, cond) -> Generator:
+        return self.backend.wait_until("user", cond, win.sync_event)
 
-        name = _window_name(comm)
-        win = Window(self, comm, mem, name)
-        self._windows[name] = win
-        seq = name.rsplit(":", 1)[-1]
-        win._comm = Communicator(self.backend, comm.group, comm.rank,
-                                 comm.context + ("rma", int(seq)))
-        win._pending = []
-        win._pt_pending = {}
-        win._stop = False
-        win._stop_evs = []
-        win._server = self.env.process(
-            self._server_loop(win), name=f"rma{self.backend.task_id}.srv")
-        self.metrics.counter("rma.windows").incr()
-        self.stats.trace("rma", "win_create", win=name, bytes=len(mem))
-        # nobody may target a window before every rank's server is up
-        yield from comm.barrier()
-        return win
-
-    # -------------------------------------------------------- op plumbing
     def _op(self, win: Window, t: int, hdr: dict, payload: bytes,
             reply_buf, reply_dt=None, reply_count: int = 1) -> Generator:
         """Issue one request: post the reply receive first (so even a
         rendezvous-sized reply can proceed), then send.  Returns the
-        reply Request; both requests join the window's pending lists."""
+        reply Request; both requests join ``_pending``, tagged with
+        ``t`` when it is passively locked (that is what ``flush``
+        waits out)."""
+        comm = self._windows[win.name].comm
         rid = next(self._rids)
         hdr["rid"] = rid
-        rreq = yield from win._comm.irecv(
+        rreq = yield from comm.irecv(
             reply_buf, source=t, tag=_REPLY_BASE + rid, datatype=reply_dt,
             count=reply_count)
-        sreq = yield from win._comm.isend(_enc(hdr, payload), t, _REQ_TAG)
-        win._pending.extend((sreq, rreq))
-        if t in win.passive:
-            win._pt_pending.setdefault(t, []).extend((sreq, rreq))
+        sreq = yield from comm.isend(_enc(hdr, payload), t, _REQ_TAG)
+        self._pending[rid] = (win, t if t in win.passive else None,
+                              sreq, rreq)
         return rreq
 
-    # ------------------------------------------------------ data movement
-    def put(self, win: Window, buf, t: int, disp: int, datatype,
-            count: int) -> Generator:
-        if datatype is None:
-            data = as_bytes(buf)
-        else:
-            data = datatype.pack(buf, count)
-            yield from self.cpu.memcpy("user", len(data))
-        self.metrics.counter("rma.put").incr()
-        self.stats.trace("rma", "put", win=win.name, tgt=t, bytes=len(data))
-        if t == win.comm.rank:
-            yield from _local_put(self.cpu, win, disp, data, datatype, count)
-            return
-        if datatype is None:
+    def _drain(self, win: Window, t: Optional[int] = None) -> list:
+        """Pop the window's requests (only those of ``t``'s passive
+        epoch if given), in issue order."""
+        reqs = []
+        for rid, (w, pt, sreq, rreq) in list(self._pending.items()):
+            if w is win and (t is None or pt == t):
+                del self._pending[rid]
+                reqs += (sreq, rreq)
+        return reqs
+
+    # ------------------------------------------------- set-up/tear-down
+    def _setup(self, win: Window) -> Generator:
+        from repro.mpi.api import Communicator
+
+        comm = win.comm
+        seq = int(win.name.rsplit(":", 1)[-1])
+        st = self._windows[win.name] = _NativeWin(
+            win, Communicator(self.backend, comm.group, comm.rank,
+                              comm.context + ("rma", seq)))
+        st.server = self.env.process(
+            self._server_loop(st), name=f"rma{self.backend.task_id}.srv")
+        yield from ()
+
+    def _teardown(self, win: Window) -> Generator:
+        st = self._windows[win.name]
+        st.stop = True
+        evs, st.stop_evs = st.stop_evs, []
+        for ev in evs:
+            if not ev.triggered:
+                ev.succeed()
+        yield st.server  # join the window server
+
+    # ----------------------------------------------------- remote ops
+    def _put(self, win: Window, t: int, disp: int, data, ranges,
+             mid) -> Generator:
+        if ranges is None:
             hdr = {"k": "put", "off": disp}
         else:
-            hdr = {"k": "sput", "base": disp,
-                   "ranges": datatype._flat_ranges(count)}
+            hdr = {"k": "sput", "base": disp, "ranges": ranges}
         yield from self._op(win, t, hdr, data, bytearray(0))
 
-    def get(self, win: Window, buf, t: int, disp: int, datatype,
-            count: int) -> Generator:
-        n = datatype.size * count if datatype is not None else len(as_writable(buf))
-        self.metrics.counter("rma.get").incr()
-        self.stats.trace("rma", "get", win=win.name, tgt=t, bytes=n)
-        if t == win.comm.rank:
-            yield from _local_get(self.cpu, win, buf, disp, n, datatype, count)
-            return
+    def _get(self, win: Window, buf, t: int, disp: int, n: int, datatype,
+             count: int, mid) -> Generator:
         if datatype is None:
-            hdr = {"k": "get", "off": disp, "n": n}
-            yield from self._op(win, t, hdr, b"", buf)
+            yield from self._op(win, t, {"k": "get", "off": disp, "n": n},
+                                b"", buf)
         else:
             hdr = {"k": "sget", "base": disp,
                    "ranges": datatype._flat_ranges(count), "n": n}
             yield from self._op(win, t, hdr, b"", buf, reply_dt=datatype,
                                 reply_count=count)
 
-    def accumulate(self, win: Window, buf, t: int, disp: int, op: str,
-                   dtype: Optional[str]) -> Generator:
-        if op not in ACC_OPS:
-            raise RmaError(f"unknown accumulate op {op!r}")
-        data = as_bytes(buf)
-        dt = _acc_dtype(buf, dtype)
-        self.metrics.counter("rma.acc").incr()
-        self.stats.trace("rma", "accumulate", win=win.name, tgt=t, op=op,
-                         bytes=len(data))
-        if t == win.comm.rank:
-            yield from _local_acc(self.cpu, win, disp, data, op, dt)
-            return
-        yield from self._op(win, t, {"k": "acc", "off": disp, "op": op,
-                                     "dt": dt}, data, bytearray(0))
-
-    def get_accumulate(self, win: Window, buf, result, t: int, disp: int,
-                       op: str, dtype: Optional[str]) -> Generator:
-        if op not in ACC_OPS:
-            raise RmaError(f"unknown accumulate op {op!r}")
-        data = as_bytes(buf)
-        dt = _acc_dtype(buf, dtype)
-        self.metrics.counter("rma.gacc").incr()
-        self.stats.trace("rma", "get_accumulate", win=win.name, tgt=t, op=op,
-                         bytes=len(data))
-        if t == win.comm.rank:
-            yield from _local_gacc(self.cpu, win, result, disp, data, op, dt)
-            return
-        yield from self._op(win, t, {"k": "gacc", "off": disp, "op": op,
-                                     "dt": dt}, data, result)
-
-    def fetch_and_op(self, win: Window, value: int, t: int, disp: int,
-                     op: str) -> Generator:
-        if op not in _RMW_OF:
-            raise RmaError(
-                f"fetch_and_op supports {sorted(_RMW_OF)}, not {op!r}")
-        return (yield from self._rmw(win, op, value, None, t, disp))
-
-    def compare_and_swap(self, win: Window, value: int, compare: int, t: int,
-                         disp: int) -> Generator:
-        return (yield from self._rmw(win, "cas", value, compare, t, disp))
+    def _acc(self, win: Window, result, t: int, disp: int, data, op: str,
+             dt: str, mid) -> Generator:
+        hdr = {"k": "acc" if result is None else "gacc", "off": disp,
+               "op": op, "dt": dt}
+        yield from self._op(win, t, hdr, data,
+                            bytearray(0) if result is None else result)
 
     def _rmw(self, win: Window, op: str, value: int, compare: Optional[int],
-             t: int, disp: int) -> Generator:
-        self.metrics.counter("rma.rmw").incr()
-        self.stats.trace("rma", "rmw", win=win.name, tgt=t, op=op)
-        if t == win.comm.rank:
-            return _local_rmw(win, op, value, compare, disp)
+             t: int, disp: int, mid) -> Generator:
         rbuf = bytearray(8)
         rreq = yield from self._op(
             win, t, {"k": "rmw", "op": op, "off": disp, "val": value,
                      "cmp": compare}, b"", rbuf)
-        yield from win._comm.wait(rreq)
+        yield from self._windows[win.name].comm.wait(rreq)
         return int.from_bytes(rbuf, "little", signed=True)
 
-    def rput(self, win: Window, buf, t: int, disp: int) -> Generator:
-        data = as_bytes(buf)
-        self.metrics.counter("rma.put").incr()
-        self.stats.trace("rma", "rput", win=win.name, tgt=t, bytes=len(data))
-        if t == win.comm.rank:
-            yield from _local_put(self.cpu, win, disp, data, None, 1)
-            req = Request(self.env, "rma")
-            req.complete(count=len(data))
-            return req
-        rreq = yield from self._op(win, t, {"k": "put", "off": disp}, data,
+    def _rput(self, win: Window, t: int, disp: int, data, mid) -> Generator:
+        return self._op(win, t, {"k": "put", "off": disp}, data, bytearray(0))
+
+    def _rget(self, win: Window, buf, t: int, disp: int, n: int,
+              mid) -> Generator:
+        return self._op(win, t, {"k": "get", "off": disp, "n": n}, b"", buf)
+
+    # ---------------------------------------------------------- sync
+    def _quiesce(self, win: Window) -> Generator:
+        # every ack in hand => every op of mine is applied at its target
+        yield from self._windows[win.name].comm.waitall(self._drain(win))
+
+    def _fence(self, win: Window, epoch: int) -> Generator:
+        # the barrier makes "all my ops applied" true for all ranks at once
+        yield from self._windows[win.name].comm.barrier()
+
+    def _send_post(self, win: Window, r: int) -> Generator:
+        return self._windows[win.name].comm.send(b"", r, _POST_TAG)
+
+    def _await_post(self, win: Window, r: int) -> Generator:
+        return self._windows[win.name].comm.recv(bytearray(0), source=r,
+                                                 tag=_POST_TAG)
+
+    def _send_complete(self, win: Window, t: int) -> Generator:
+        return self._windows[win.name].comm.send(b"", t, _COMPLETE_TAG)
+
+    def _await_complete(self, win: Window, o: int) -> Generator:
+        return self._windows[win.name].comm.recv(bytearray(0), source=o,
+                                                 tag=_COMPLETE_TAG)
+
+    def _lock(self, win: Window, t: int, lid: str,
+              exclusive: bool) -> Generator:
+        rreq = yield from self._op(
+            win, t, {"k": "lock", "lid": lid, "x": exclusive}, b"",
+            bytearray(0))
+        yield from self._windows[win.name].comm.wait(rreq)  # the grant
+
+    def _flush(self, win: Window, t: int) -> Generator:
+        """Every ack in hand ⇒ every op applied/served."""
+        yield from self._windows[win.name].comm.waitall(self._drain(win, t))
+
+    def _unlock(self, win: Window, t: int, lid: str) -> Generator:
+        rreq = yield from self._op(win, t, {"k": "unlock", "lid": lid}, b"",
                                    bytearray(0))
-        return rreq
+        yield from self._windows[win.name].comm.wait(rreq)
 
-    def rget(self, win: Window, buf, t: int, disp: int) -> Generator:
-        n = len(as_writable(buf))
-        self.metrics.counter("rma.get").incr()
-        self.stats.trace("rma", "rget", win=win.name, tgt=t, bytes=n)
-        if t == win.comm.rank:
-            yield from _local_get(self.cpu, win, buf, disp, n, None, 1)
-            req = Request(self.env, "rma")
-            req.complete(count=n)
-            return req
-        rreq = yield from self._op(win, t, {"k": "get", "off": disp, "n": n},
-                                   b"", buf)
-        return rreq
-
-    # ------------------------------------------------------ synchronization
-    def fence(self, win: Window) -> Generator:
-        self.metrics.counter("rma.fence").incr()
-        epoch = win.fence_epoch
-        self.stats.trace("rma", "fence_enter", win=win.name, epoch=epoch)
-        # every ack in hand => every op of mine is applied at its target;
-        # the barrier then makes that true for all ranks at once
-        pending, win._pending = win._pending, []
-        win._pt_pending.clear()
-        yield from win._comm.waitall(pending)
-        yield from win._comm.barrier()
-        win.fence_epoch += 1
-        self.stats.trace("rma", "fence_exit", win=win.name, epoch=epoch)
-
-    def post(self, win: Window, ranks: list[int]) -> Generator:
-        self.metrics.counter("rma.post").incr()
-        self.stats.trace("rma", "post", win=win.name, origins=len(ranks))
-        win.exposure_origins = set(ranks)
-        me = win.comm.rank
-        for r in ranks:
-            if r == me:
-                win.post_tokens[me] = win.post_tokens.get(me, 0) + 1
-                win._wake()
-            else:
-                yield from win._comm.send(b"", r, _POST_TAG)
-
-    def start(self, win: Window, ranks: list[int]) -> Generator:
-        self.stats.trace("rma", "start", win=win.name, targets=len(ranks))
-        win.access_targets = set(ranks)
-        me = win.comm.rank
-        for r in sorted(ranks):
-            if r == me:
-                yield from self.backend.wait_until(
-                    "user", lambda: win.post_tokens.get(me, 0) > 0,
-                    win.sync_event)
-                win.post_tokens[me] -= 1
-            else:
-                yield from win._comm.recv(bytearray(0), source=r,
-                                          tag=_POST_TAG)
-
-    def complete(self, win: Window) -> Generator:
-        pending, win._pending = win._pending, []
-        win._pt_pending.clear()
-        yield from win._comm.waitall(pending)
-        me = win.comm.rank
-        self.stats.trace("rma", "complete", win=win.name,
-                         targets=len(win.access_targets))
-        for t in sorted(win.access_targets):
-            if t == me:
-                win.complete_cums.setdefault(me, deque()).append(0)
-                win._wake()
-            else:
-                yield from win._comm.send(b"", t, _COMPLETE_TAG)
-        win.access_targets = set()
-
-    def wait(self, win: Window) -> Generator:
-        me = win.comm.rank
-        for o in sorted(win.exposure_origins):
-            if o == me:
-                yield from self.backend.wait_until(
-                    "user", lambda: win.complete_cums.get(me), win.sync_event)
-                win.complete_cums[me].popleft()
-            else:
-                yield from win._comm.recv(bytearray(0), source=o,
-                                          tag=_COMPLETE_TAG)
-        win.exposure_origins = set()
-        self.stats.trace("rma", "wait_done", win=win.name)
-
-    def lock(self, win: Window, t: int, exclusive: bool) -> Generator:
-        if t in win.passive:
-            raise RmaError(f"target {t} already locked by this origin")
-        self.metrics.counter("rma.lock").incr()
-        lid = f"{self.backend.task_id}:{next(self._lock_ids)}"
-        self.stats.trace("rma", "lock", win=win.name, tgt=t, lid=lid,
-                         excl=exclusive)
-        if t == win.comm.rank:
-            if not win.ledger.try_acquire(lid, exclusive):
-                win.ledger.enqueue(lid, exclusive, ("local",))
-                yield from self.backend.wait_until(
-                    "user", lambda: lid in win._granted, win.sync_event)
-                win._granted.discard(lid)
-        else:
-            rreq = yield from self._op(
-                win, t, {"k": "lock", "lid": lid, "x": exclusive}, b"",
-                bytearray(0))
-            yield from win._comm.wait(rreq)  # the grant
-        win.passive[t] = lid
-
-    def flush(self, win: Window, t: int) -> Generator:
-        """MPI_Win_flush: every ack in hand ⇒ every op applied/served."""
-        if t not in win.passive:
-            raise RmaError(f"flush({t}) outside a passive epoch")
-        self.stats.trace("rma", "flush", win=win.name, tgt=t)
-        yield from win._comm.waitall(win._pt_pending.pop(t, []))
-
-    def unlock(self, win: Window, t: int) -> Generator:
-        lid = win.passive.get(t)
-        if lid is None:
-            raise RmaError(f"target {t} is not locked by this origin")
-        self.stats.trace("rma", "unlock", win=win.name, tgt=t, lid=lid)
-        if t == win.comm.rank:
-            grants = win.ledger.release(lid)
-            yield from self._route_grants(win, grants)
-        else:
-            # flush: every op of this epoch acked (= applied) at target
-            yield from win._comm.waitall(win._pt_pending.pop(t, []))
-            rreq = yield from self._op(win, t, {"k": "unlock", "lid": lid},
-                                       b"", bytearray(0))
-            yield from win._comm.wait(rreq)
-        del win.passive[t]
-
-    def _route_grants(self, win: Window, grants) -> Generator:
-        for lid2, _excl2, ref in grants:
-            if ref[0] == "local":
-                win._granted.add(lid2)
-                win._wake()
-            else:
-                yield from win._comm.send(b"", ref[1],
-                                          _REPLY_BASE + ref[2])
-
-    def free(self, win: Window) -> Generator:
-        yield from self.fence(win)
-        win._stop = True
-        evs, win._stop_evs = win._stop_evs, []
-        for ev in evs:
-            if not ev.triggered:
-                ev.succeed()
-        yield win._server  # join the window server
-        del self._windows[win.name]
-        self.stats.trace("rma", "win_free", win=win.name)
+    def _grant(self, thread: str, win: Window, lid: str, ref) -> Generator:
+        src, rid = ref
+        yield from self._windows[win.name].comm.send(b"", src,
+                                                     _REPLY_BASE + rid)
 
     # ------------------------------------------------------ window server
-    def _server_loop(self, win: Window) -> Generator:
+    def _server_loop(self, st: _NativeWin) -> Generator:
         """The target-side progress engine: serve requests until freed."""
-        comm = win._comm
+        comm = st.comm
         be = self.backend
-        buf = bytearray(len(win.mem) + 8192)
+        buf = bytearray(len(st.win.mem) + 8192)
         while True:
             req = yield from comm.irecv(buf, ANY_SOURCE, _REQ_TAG)
             while not (req.done or req.needs_finalize):
-                if win._stop:
+                if st.stop:
                     removed = yield from comm.cancel(req)
                     if removed:
                         return
@@ -1544,26 +1478,24 @@ class NativeRmaEngine:
                 if req.done or req.needs_finalize or progressed:
                     continue
                 ev = self.env.event()
-                win._stop_evs.append(ev)
+                st.stop_evs.append(ev)
                 yield AnyOf(self.env, [be.wait_rx(), req.changed(), ev])
             status = yield from comm.wait(req)
             hdr, payload = _dec(memoryview(buf)[: status.count])
-            yield from self._serve(win, status.source, hdr, payload)
+            yield from self._serve(st, status.source, hdr, payload)
 
-    def _serve(self, win: Window, src: int, hdr: dict,
+    def _serve(self, st: _NativeWin, src: int, hdr: dict,
                payload: bytes) -> Generator:
-        comm = win._comm
+        comm, win = st.comm, st.win
         mem = win.mem
         kind = hdr["k"]
         rtag = _REPLY_BASE + hdr["rid"]
         if kind == "put":
-            yield from _local_put(self.cpu, win, hdr["off"], payload, None, 1)
+            yield from _local_put(self.cpu, win, hdr["off"], payload)
             yield from comm.send(b"", src, rtag)
         elif kind == "sput":
-            mem.rma_epoch_dirty()
-            _StridedTarget(memoryview(mem), hdr["base"],
-                           hdr["ranges"]).write(0, payload)
-            yield from self.cpu.memcpy("user", len(payload))
+            yield from _local_put(self.cpu, win, hdr["base"], payload,
+                                  hdr["ranges"])
             yield from comm.send(b"", src, rtag)
         elif kind == "get":
             off, n = hdr["off"], hdr["n"]
@@ -1571,37 +1503,23 @@ class NativeRmaEngine:
             yield from self.cpu.memcpy("user", n)
             yield from comm.send(data, src, rtag)
         elif kind == "sget":
-            base = hdr["base"]
-            view = memoryview(mem)
-            wire = b"".join(
-                bytes(view[base + off : base + off + ln])
-                for off, ln in hdr["ranges"])
+            wire = _gather(mem, hdr["base"], hdr["ranges"])
             yield from self.cpu.memcpy("user", len(wire))
             yield from comm.send(wire, src, rtag)
-        elif kind == "acc":
-            yield from _local_acc(self.cpu, win, hdr["off"], payload,
-                                  hdr["op"], hdr["dt"])
-            yield from comm.send(b"", src, rtag)
-        elif kind == "gacc":
-            off = hdr["off"]
-            old = bytes(memoryview(mem)[off : off + len(payload)])
-            _apply_acc(mem, off, payload, hdr["op"], hdr["dt"])
-            yield from self.cpu.memcpy("user", 2 * len(payload))
-            yield from comm.send(old, src, rtag)
+        elif kind in ("acc", "gacc"):
+            old = bytearray(len(payload)) if kind == "gacc" else None
+            yield from _local_acc(self.cpu, "user", mem, hdr["off"], payload,
+                                  hdr["op"], hdr["dt"], old)
+            yield from comm.send(b"" if old is None else bytes(old), src, rtag)
         elif kind == "rmw":
             old = _local_rmw(win, hdr["op"], hdr["val"], hdr["cmp"], hdr["off"])
             yield from comm.send(
                 (old & _WORD_MASK).to_bytes(8, "little"), src, rtag)
         elif kind == "lock":
-            if win.ledger.try_acquire(hdr["lid"], hdr["x"]):
-                yield from comm.send(b"", src, rtag)
-            else:
-                win.ledger.enqueue(hdr["lid"], hdr["x"],
-                                   ("remote", src, hdr["rid"]))
+            yield from self._acquire("user", win, hdr["lid"], hdr["x"],
+                                     (src, hdr["rid"]))
         elif kind == "unlock":
-            grants = win.ledger.release(hdr["lid"])
-            yield from self._route_grants(win, grants)
+            yield from self._release("user", win, hdr["lid"])
             yield from comm.send(b"", src, rtag)
         else:
             raise RmaError(f"window server got unknown request {kind!r}")
-

@@ -103,6 +103,28 @@ def test_zero_byte_amsend_completes(rig2):
     assert sink["uhdrs"][0][2] == 0
 
 
+def test_floor_holds_message_until_target_counter_reaches_it(rig2):
+    """A message sent with ``tgt_cntr_floor=1`` arrives first but runs
+    its header handler only after the message that bumps the counter."""
+    t0, t1 = rig2.tasks
+    sink = install_sink(t1)
+    tgt_id, tgt_cntr = t1.create_counter()
+
+    def sender():
+        yield from t0.amsend("user", 1, "sink", {"token": "second"}, b"B" * 3000,
+                             tgt_cntr_id=tgt_id, tgt_cntr_floor=1)
+        yield from t0.amsend("user", 1, "sink", {"token": "first"}, b"A" * 8,
+                             tgt_cntr_id=tgt_id)
+
+    def receiver():
+        yield from t1.waitcntr("user", tgt_cntr, 2)
+
+    rig2.run(sender(), receiver())
+    assert [u[1]["token"] for u in sink["uhdrs"]] == ["first", "second"]
+    assert bytes(sink["buf"][:3000]) == b"B" * 3000
+    assert not t1._held and not t1._assemblies
+
+
 def test_base_mode_completion_runs_on_separate_thread():
     rig = LapiRig(2, enhanced=False)
     t0, t1 = rig.tasks

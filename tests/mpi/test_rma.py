@@ -7,6 +7,8 @@ reference execution).  The raw-lapi stack has no Communicator; its
 window-buffer fast path is covered in ``tests/lapi``.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,67 @@ def test_rma_matches_two_sided_reference(stack):
     ref_res = cluster(n, stack).run(twosided_prog)
     for rank in range(n):
         assert rma_res.values[rank] == ref_res.values[rank]
+
+
+# ======================================================================
+#              post-fence ordering under interrupt-mode delivery
+# ======================================================================
+def _fence_then_lock_program(seed: int, epochs: int = 6):
+    """Each epoch every rank puts a seeded block into its right
+    neighbour, fences, gets it back, fences, and then takes rank 0's
+    lock for an accumulate and a fetch_and_op.  The lock section shifts
+    the timing so that an epoch's get can reach the target ahead of the
+    same origin's previous-epoch put."""
+    rng = random.Random(seed)
+    blocks = []
+    for e in range(epochs):
+        row = []
+        for r in range(3):
+            length = rng.randint(8, 64)
+            off = rng.randrange(128 - length + 1)
+            row.append((off, bytes((37 * r + 11 * e + i) % 255 + 1
+                                   for i in range(length))))
+        blocks.append(row)
+
+    def program(comm, rank, size):
+        win = yield from comm.win_create(176)
+        yield from win.fence()
+        right = (rank + 1) % size
+        bad = []
+        for e, row in enumerate(blocks):
+            off, data = row[rank]
+            yield from win.put(data, right, off)
+            yield from win.fence()
+            back = bytearray(len(data))
+            yield from win.get(back, right, off)
+            yield from win.fence()
+            if back != data:
+                bad.append(e)
+            yield from win.lock(0, exclusive=True)
+            yield from win.accumulate(bytes(32), 0, 128, op="sum",
+                                      dtype="int64")
+            yield from win.fetch_and_op(1, 0, 168)
+            yield from win.unlock(0)
+        yield from win.fence()
+        count = win.mem.read_word(168)
+        yield from win.free()
+        return bad, count
+
+    return program
+
+
+@pytest.mark.parametrize("stack", MPI_STACKS)
+@pytest.mark.parametrize("seed", range(16))
+def test_get_after_fence_sees_own_previous_put(stack, seed):
+    """A get issued right after a fence must see the origin's own put
+    from the epoch the fence closed, even when the put's packet is
+    overtaken on another route."""
+    res = SPCluster(3, stack=stack, seed=seed,
+                    interrupt_mode=True).run(_fence_then_lock_program(seed))
+    for rank, (bad, count) in enumerate(res.values):
+        assert bad == [], f"rank {rank} read wrong bytes in epochs {bad}"
+        if rank == 0:
+            assert count == 3 * 6
 
 
 # ======================================================================
