@@ -7,9 +7,15 @@ phenomenon both the Pipes layer (reordering byte stream) and LAPI
 (assemble-by-offset) must handle.  Packet loss can be injected for
 reliability testing.
 
-The adapter models the TB3/TBMX card: DMA engines between host memory
-and adapter FIFOs, bounded receive FIFOs (overflow drops packets), and
-either polled or interrupt-driven receive notification.
+The adapter models the TB3/TBMX card as an analytic FCFS pipeline: a
+bounded send FIFO feeding the send DMA engine, a 2-deep link queue
+feeding the wire, and a receive DMA engine feeding a bounded host
+receive FIFO (overflow drops packets).  Each stage's occupancy is
+computed when a packet enters it, so the card runs no processes: a
+packet costs one pooled event at the end of its wire time, one at the
+end of its receive DMA, and one at the end of its send DMA when the
+sender asks for ``on_dma_done``.  Receive notification is polled or
+interrupt-driven.
 """
 
 from repro.network.adapter import Adapter

@@ -1,21 +1,26 @@
 """The switch adapter (TB3/TBMX model).
 
-Send path (two-stage pipeline, so DMA overlaps link serialisation):
+The card is a fixed FCFS pipeline, so each stage is priced analytically
+when a packet enters it (``busy_until`` occupancy, as in
+:mod:`repro.network.staged`) rather than by one process per engine::
 
-    HAL --enqueue_send()--> send FIFO --[DMA engine]--> link queue
-        --[link engine: wire time]--> fabric.transmit()
+    HAL --enqueue_send()--> send FIFO --[DMA]--> 2-deep link queue
+        --[wire]--> fabric.transmit()
 
-Receive path:
+    admit     = max(now, dma_start[k - adapter_send_fifo])
+    dma_start = max(admit, dma_free);      dma_end  = dma_start + dma_cost
+    accept    = max(dma_end, take[k - 2]); dma_free = accept
+    take      = max(accept, wire_free);    wire_end = take + wire_cost
 
-    fabric --_fabric_deliver()--> adapter SRAM queue --[recv DMA engine]-->
-        host receive FIFO (bounded; overflow drops) --> notification
+``on_dma_done`` fires at ``dma_end`` and the fabric hand-off at
+``wire_end``, one pooled event each.  Receive path: ``_fabric_deliver()``
+--[DMA]--> host receive FIFO (bounded; overflow drops), landing at
+``max(now, rx_free) + dma_cost``.
 
-Notification is either *polled* (``poll()`` / ``wait_rx()``) or
-*interrupt-driven*: when ``interrupt_mode`` is on and an ISR is
-registered, packet arrival schedules the ISR after
-``interrupt_latency_us``.  The ISR itself is protocol-supplied — the
-native stack installs one with the paper's hysteresis dwell, LAPI
-installs a plain drain loop.
+Notification is *polled* (``poll()`` / ``wait_rx()``) or, with
+``interrupt_mode`` on and an ISR registered, *interrupt-driven*: arrival
+schedules the protocol-supplied ISR after ``interrupt_latency_us`` (the
+native stack's has the paper's hysteresis dwell, LAPI's is a drain loop).
 
 Payloads are snapshotted (``bytes``) when a packet is built, so the
 simulation always delivers the data as it was at send time; the *timing*
@@ -32,32 +37,16 @@ from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
 from repro.network.fabric import SwitchFabric
 from repro.network.packet import Packet
-from repro.sim import Channel, Environment, Event, Store
+from repro.sim import Environment, Event
 
-__all__ = ["Adapter", "SendDescriptor"]
-
-
-class SendDescriptor:
-    """A packet queued for transmission plus its DMA-done signal."""
-
-    __slots__ = ("packet", "on_dma_done")
-
-    def __init__(self, packet: Packet, on_dma_done: Optional[Event] = None):
-        self.packet = packet
-        self.on_dma_done = on_dma_done
+__all__ = ["Adapter"]
 
 
 class Adapter:
     """One node's switch adapter."""
 
-    def __init__(
-        self,
-        env: Environment,
-        params: MachineParams,
-        fabric: SwitchFabric,
-        node_id: int,
-        stats: NodeStats,
-    ):
+    def __init__(self, env: Environment, params: MachineParams,
+                 fabric: SwitchFabric, node_id: int, stats: NodeStats):
         self.env = env
         self.params = params
         self.fabric = fabric
@@ -71,9 +60,11 @@ class Adapter:
         # the overflow drops the reliability layers must then repair
         self._g_rx_depth = stats.registry.gauge("adapter.rx_fifo_depth")
 
-        self._send_fifo = Channel(env, params.adapter_send_fifo, name=f"a{node_id}.tx")
-        self._link_q = Channel(env, 2, name=f"a{node_id}.link")
-        self._sram_rx = Store(env, name=f"a{node_id}.sram")
+        # when each engine is next free; the DMA starts and link takes
+        # that the send FIFO and the link queue wait on
+        self._dma_free = self._wire_free = self._rx_free = env.now
+        self._dma_starts: deque[float] = deque(maxlen=params.adapter_send_fifo)
+        self._takes: deque[float] = deque(maxlen=2)
         self._host_rx: deque[Packet] = deque()
         self._rx_waiters: list[Event] = []
 
@@ -83,9 +74,6 @@ class Adapter:
         self._isr_active = False
 
         fabric.attach(self)
-        env.process(self._send_dma_engine(), name=f"a{node_id}.txdma")
-        env.process(self._link_engine(), name=f"a{node_id}.txlink")
-        env.process(self._recv_dma_engine(), name=f"a{node_id}.rxdma")
 
     # ------------------------------------------------------------- send
     def enqueue_send(self, packet: Packet, on_dma_done: Optional[Event] = None) -> Event:
@@ -97,68 +85,78 @@ class Adapter:
         """
         if packet.src != self.node_id:
             raise ValueError(f"packet src {packet.src} != adapter node {self.node_id}")
-        return self._send_fifo.put(SendDescriptor(packet, on_dma_done))
+        env, p = self.env, self.params
+        now = env.now
+        starts, takes = self._dma_starts, self._takes
+        # a full send FIFO admits when the packet F ahead starts its DMA
+        admit = max(now, starts[0]) if len(starts) == starts.maxlen else now
+        dma_start = max(admit, self._dma_free)
+        dma_end = dma_start + p.dma_cost(packet.wire_bytes)
+        accept = max(dma_end, takes[0]) if len(takes) == 2 else dma_end
+        take = max(accept, self._wire_free)
+        self._wire_free = wire_end = take + p.wire_cost(packet.wire_bytes)
+        self._dma_free = accept
+        starts.append(dma_start)
+        takes.append(take)
+        if on_dma_done is not None:
+            env.call_at(dma_end, self._dma_done, on_dma_done)
+        env.call_at(wire_end, self._wire_done, packet)
+        if admit > now:
+            return env.auto_timeout_at(admit)
+        return env.auto_event().succeed()
 
-    def _send_dma_engine(self) -> Generator:
-        p = self.params
-        while True:
-            desc: SendDescriptor = yield self._send_fifo.get()
-            yield self.env.timeout(p.dma_cost(desc.packet.wire_bytes))
-            if desc.on_dma_done is not None and not desc.on_dma_done.triggered:
-                desc.on_dma_done.succeed()
-            yield self._link_q.put(desc.packet)
+    @staticmethod
+    def _dma_done(ev: Event) -> None:
+        done = ev._value
+        if not done.triggered:
+            done.succeed()
 
-    def _link_engine(self) -> Generator:
-        p = self.params
-        while True:
-            packet: Packet = yield self._link_q.get()
-            yield self.env.timeout(p.wire_cost(packet.wire_bytes))
-            packet.route = self.fabric.pick_route(packet.src, packet.dst)
-            self.stats.packets_sent += 1
-            self.stats.bytes_on_wire += packet.wire_bytes
-            self.stats.trace(
-                "adapter", "pkt_tx", dst=packet.dst, route=packet.route,
-                kind=packet.header.get("kind"), seq=packet.header.get("seq"),
-                bytes=packet.wire_bytes, msg=packet.header.get("msg"),
-                fid=packet.header.get("fid"), mid=packet.header.get("mid"),
-            )
-            self.fabric.transmit(packet)
+    def _wire_done(self, ev: Event) -> None:
+        packet = ev._value
+        stats = self.stats
+        packet.route = self.fabric.pick_route(packet.src, packet.dst)
+        stats.packets_sent += 1
+        stats.bytes_on_wire += packet.wire_bytes
+        if stats.tracer is not None:
+            h = packet.header
+            stats.trace("adapter", "pkt_tx", dst=packet.dst, route=packet.route,
+                        kind=h.get("kind"), seq=h.get("seq"), bytes=packet.wire_bytes,
+                        msg=h.get("msg"), fid=h.get("fid"), mid=h.get("mid"))
+        self.fabric.transmit(packet)
 
     # ---------------------------------------------------------- receive
     def _fabric_deliver(self, packet: Packet) -> None:
         """Fabric hand-off: packet reached this adapter's SRAM."""
-        self._sram_rx.put(packet)
+        env = self.env
+        self._rx_free = rx_end = (max(env.now, self._rx_free)
+                                  + self.params.dma_cost(packet.wire_bytes))
+        env.call_at(rx_end, self._rx_landed, packet)
 
-    def _fifo_capacity(self) -> int:
-        """Host receive-FIFO capacity right now (fault squeeze aware)."""
+    def _rx_landed(self, ev: Event) -> None:
+        """Receive DMA done: the packet lands in the host FIFO or drops."""
+        packet = ev._value
+        stats = self.stats
         cap = self.params.adapter_recv_fifo
-        if self.faults is not None:
+        if self.faults is not None:  # a host-FIFO squeeze
             cap = self.faults.fifo_capacity(cap, self.env.now)
-        return cap
-
-    def _recv_dma_engine(self) -> Generator:
-        p = self.params
-        while True:
-            packet: Packet = yield self._sram_rx.get()
-            yield self.env.timeout(p.dma_cost(packet.wire_bytes))
-            if len(self._host_rx) >= self._fifo_capacity():
-                # Host FIFO overflow: the adapter drops; reliability
-                # layers above recover via retransmission.
-                self.stats.packets_dropped += 1
-                self.stats.trace("adapter", "fifo_drop", src=packet.src,
-                                 seq=packet.header.get("seq"),
-                                 mid=packet.header.get("mid"))
-                continue
-            self._host_rx.append(packet)
-            self._g_rx_depth.set(len(self._host_rx))
-            self.stats.packets_received += 1
-            self.stats.trace(
-                "adapter", "pkt_rx", src=packet.src,
-                kind=packet.header.get("kind"), seq=packet.header.get("seq"),
-                msg=packet.header.get("msg"), fid=packet.header.get("fid"),
-                mid=packet.header.get("mid"),
-            )
-            self._notify_rx()
+        if len(self._host_rx) >= cap:
+            # Host FIFO overflow: the adapter drops; reliability
+            # layers above recover via retransmission.
+            stats.packets_dropped += 1
+            if stats.tracer is not None:
+                stats.trace("adapter", "fifo_drop", src=packet.src,
+                            seq=packet.header.get("seq"),
+                            mid=packet.header.get("mid"))
+            return
+        self._host_rx.append(packet)
+        self._g_rx_depth.set(len(self._host_rx))
+        stats.packets_received += 1
+        if stats.tracer is not None:
+            h = packet.header
+            stats.trace("adapter", "pkt_rx", src=packet.src, kind=h.get("kind"),
+                        seq=h.get("seq"), msg=h.get("msg"), fid=h.get("fid"),
+                        mid=h.get("mid"))
+        self._notify_rx()
 
     def _notify_rx(self) -> None:
         waiters, self._rx_waiters = self._rx_waiters, []

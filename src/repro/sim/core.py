@@ -22,11 +22,12 @@ Design notes
 * An event may be triggered at most once.  Triggering schedules its
   callbacks; callbacks run when the event is popped from the queue.
 * Kernel-internal fire-and-forget events (:meth:`Environment.call_later`,
-  :meth:`Environment.auto_timeout`, :meth:`Environment.auto_event`) come
-  from a per-environment free list and are recycled as soon as their
-  callbacks have run.  They must be yielded (or given their callback)
-  immediately and never retained once processed — see
-  ``docs/PERFORMANCE.md`` for the retention rules.
+  :meth:`Environment.auto_timeout`, their absolute-time forms
+  :meth:`Environment.call_at` and :meth:`Environment.auto_timeout_at`,
+  and :meth:`Environment.auto_event`) come from a per-environment free
+  list and are recycled as soon as their callbacks have run.  They must
+  be yielded (or given their callback) immediately and never retained
+  once processed — see ``docs/PERFORMANCE.md`` for the retention rules.
 """
 
 from __future__ import annotations
@@ -204,8 +205,8 @@ class _AutoEvent(Event):
     """Kernel-internal pooled event.
 
     Grabbed from :attr:`Environment._free` by ``call_later`` /
-    ``auto_timeout`` / ``auto_event`` and recycled by the run loop right
-    after its callbacks fire.  References must never outlive processing.
+    ``auto_timeout`` (and their ``_at`` forms) / ``auto_event`` and
+    recycled by the run loop right after its callbacks fire.  References must never outlive processing.
     """
 
     __slots__ = ()
@@ -571,6 +572,32 @@ class Environment:
             self._normal.append((self._now, NORMAL, seq, ev))
         else:
             _heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
+        if self._m_heap is not None:
+            self._m_heap.set(len(self._queue) + len(self._urgent) + len(self._normal))
+        return ev
+
+    def call_at(self, when: float, fn: Callable[[Event], None],
+                value: Any = None) -> None:
+        """:meth:`call_later` at the absolute time ``when``.
+
+        For instants computed ahead of time (analytic pipelines):
+        ``now + (when - now)`` can round one ulp away from ``when``.
+        """
+        self.auto_timeout_at(when, value).callbacks.append(fn)
+
+    def auto_timeout_at(self, when: float, value: Any = None) -> Event:
+        """:meth:`auto_timeout` that fires at the absolute time ``when``."""
+        if when < self._now:
+            raise ValueError(f"time {when} is in the past (now={self._now})")
+        free = self._free
+        ev = free.pop() if free else _AutoEvent(self)
+        ev._triggered = True
+        ev._value = value
+        seq = self._seq = self._seq + 1
+        if when == self._now:
+            self._normal.append((when, NORMAL, seq, ev))
+        else:
+            _heappush(self._queue, (when, NORMAL, seq, ev))
         if self._m_heap is not None:
             self._m_heap.set(len(self._queue) + len(self._urgent) + len(self._normal))
         return ev

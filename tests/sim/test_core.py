@@ -316,3 +316,33 @@ def test_peek():
     assert env.peek() == float("inf")
     env.timeout(9.0)
     assert env.peek() == 9.0
+
+
+def test_call_at_and_auto_timeout_at_fire_at_the_exact_instant():
+    # 0.4 + (1.41 - 0.4) == 1.4099999999999997: an instant computed
+    # ahead and scheduled by its delay would be missed by one ulp
+    env = Environment()
+    fired = []
+
+    def proc():
+        yield env.timeout(0.4)
+        env.call_at(1.41, lambda ev: fired.append((env.now, ev.value)), "x")
+        yield env.auto_timeout_at(1.41)
+        fired.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert fired == [(1.41, "x"), 1.41]
+
+
+def test_call_at_now_queues_behind_events_already_due():
+    env = Environment()
+    order = []
+    env.call_later(0.0, lambda ev: order.append("first"))
+    env.call_at(0.0, lambda ev: order.append("second"))
+    env.run()
+    assert order == ["first", "second"]
+    with pytest.raises(ValueError):
+        env.call_at(-1.0, lambda ev: None)
+    with pytest.raises(ValueError):
+        env.auto_timeout_at(-1.0)
