@@ -9,8 +9,9 @@ workloads stress the paths the hot-path optimisation touched —
 - ``pingpong``       — the full LAPI/MPI stack, for packets/sec.
 
 Every workload is deterministic: the *event count* and final *simulated
-time* must reproduce exactly between runs, rounds, and kernel versions
-(they are the regression-gated fields of ``BENCH_simcore.json``); only
+time* (and, for ``pingpong``, the kernel's *process switches*) must
+reproduce exactly between runs, rounds, and kernel versions (they are
+the regression-gated fields of ``BENCH_simcore.json``); only
 the wall-clock fields (``wall_ms``, ``events_per_sec``, ``ns_per_event``,
 ``packets_per_sec``) vary with the machine, and the CI gate compares
 those with effectively infinite tolerance.
@@ -42,7 +43,7 @@ def wl_timeout_wheel(procs: int = 200, touts: int = 200):
     for i in range(procs):
         env.process(runner(i))
     env.run()
-    return env._seq, env.now, 0
+    return env._seq, env.now, 0, None
 
 
 def wl_event_chain(procs: int = 50, steps: int = 4000):
@@ -57,7 +58,7 @@ def wl_event_chain(procs: int = 50, steps: int = 4000):
     for _ in range(procs):
         env.process(runner())
     env.run()
-    return env._seq, env.now, 0
+    return env._seq, env.now, 0, None
 
 
 def wl_store_churn(pairs: int = 100, rounds: int = 200):
@@ -78,7 +79,7 @@ def wl_store_churn(pairs: int = 100, rounds: int = 200):
         env.process(producer(s))
         env.process(consumer(s))
     env.run()
-    return env._seq, env.now, 0
+    return env._seq, env.now, 0, None
 
 
 def wl_pingpong(reps: int = 30, msg_size: int = 4096,
@@ -102,7 +103,8 @@ def wl_pingpong(reps: int = 30, msg_size: int = 4096,
 
     cluster.run(program)
     env = cluster.env
-    return env._seq, env.now, cluster.fabric.delivered
+    switches = cluster.metrics.counter("sim.process_switches").value
+    return env._seq, env.now, cluster.fabric.delivered, switches
 
 
 WORKLOADS = (
@@ -114,8 +116,9 @@ WORKLOADS = (
 
 
 # ------------------------------------------------------------- measuring
-def measure(fn, rounds: int = DEFAULT_ROUNDS) -> tuple[int, float, int, float]:
-    """(events, sim_time_us, packets, best_wall_s) over ``rounds`` runs.
+def measure(fn, rounds: int = DEFAULT_ROUNDS) -> tuple[tuple, float]:
+    """((events, sim_time_us, packets, process_switches), best_wall_s)
+    over ``rounds`` runs.
 
     The deterministic counters must agree across rounds; a mismatch
     means the kernel lost determinism and is raised immediately.
@@ -132,8 +135,7 @@ def measure(fn, rounds: int = DEFAULT_ROUNDS) -> tuple[int, float, int, float]:
             raise AssertionError(f"{fn.__name__}: nondeterministic counters "
                                  f"{got} != {counts}")
         best = min(best, wall)
-    events, sim_us, packets = counts
-    return events, sim_us, packets, best
+    return counts, best
 
 
 def rows(rounds: int = DEFAULT_ROUNDS) -> list[dict]:
@@ -142,11 +144,11 @@ def rows(rounds: int = DEFAULT_ROUNDS) -> list[dict]:
     total_packets = 0
     total_wall = 0.0
     for name, fn in WORKLOADS:
-        events, sim_us, packets, wall = measure(fn, rounds)
+        (events, sim_us, packets, switches), wall = measure(fn, rounds)
         total_events += events
         total_packets += packets
         total_wall += wall
-        out.append(_row(name, events, sim_us, packets, wall))
+        out.append(_row(name, events, sim_us, packets, wall, switches))
     # the headline aggregate: all workloads' events over their summed
     # best wall times (the number the before/after speedup quotes)
     out.append(_row("TOTAL", total_events, 0.0, total_packets, total_wall))
@@ -154,12 +156,14 @@ def rows(rounds: int = DEFAULT_ROUNDS) -> list[dict]:
 
 
 def _row(name: str, events: int, sim_us: float, packets: int,
-         wall_s: float) -> dict:
+         wall_s: float, switches: int | None = None) -> dict:
     return {
         "workload": name,
         "events": events,
         "sim_time_us": sim_us,
         "packets": packets,
+        # null where the workload's kernel runs without a metrics registry
+        "process_switches": switches,
         "wall_ms": wall_s * 1e3,
         "events_per_sec": events / wall_s,
         "ns_per_event": wall_s * 1e9 / events,
@@ -169,7 +173,7 @@ def _row(name: str, events: int, sim_us: float, packets: int,
 
 # --------------------------------------------------------------- pytest
 def test_simcore_counts_deterministic():
-    """Each workload's event/packet counters reproduce exactly."""
+    """Each workload's event/packet/switch counters reproduce exactly."""
     for name, fn in WORKLOADS:
         assert fn() == fn(), f"{name}: counters not deterministic"
 

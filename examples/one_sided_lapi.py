@@ -62,7 +62,7 @@ def main():
         for line in rank_log:
             print(line)
     print(f"\nsimulated time: {result.elapsed_us:.1f} us, "
-          f"header handlers run: {result.stats.hdr_handlers_run}")
+          f"header handlers run: {result.stats.hdr_handlers_run.value}")
 
 
 if __name__ == "__main__":

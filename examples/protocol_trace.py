@@ -43,7 +43,7 @@ INTERESTING = [
 def show(title, stats):
     print(f"\n--- {title}")
     for name in INTERESTING:
-        v = getattr(stats, name)
+        v = getattr(stats, name).value
         if v:
             print(f"    {name:24s} {v}")
 

@@ -37,8 +37,8 @@ def main():
         result = cluster.run(pingpong)
         s = result.stats
         print(f"stack={stack:14s} one-way latency {result.values[0]:7.2f} us | "
-              f"copies={s.copies:3d} ({s.bytes_copied} B) "
-              f"packets={s.packets_sent} ctx-switches={s.ctx_switches}")
+              f"copies={s.copies.value:3d} ({s.bytes_copied.value} B) "
+              f"packets={s.packets_sent.value} ctx-switches={s.ctx_switches.value}")
     print("\nThe native stack stages every byte through pipe buffers;")
     print("MPI-LAPI's header handlers deliver straight into the user buffer.")
 

@@ -18,7 +18,7 @@ Usage::
         ...
 
     result = cluster.run(program)
-    print(result.elapsed_us, result.stats.copies)
+    print(result.elapsed_us, result.stats.copies.value)
 """
 
 from __future__ import annotations

@@ -308,14 +308,14 @@ def check_invariants(cluster, payload: bytes,
         if a.rx_pending:
             violations.append(f"node {i}: {a.rx_pending} packets undrained in host FIFO")
 
-    retrans = sum(s.retransmissions for s in cluster.node_stats)
+    retrans = sum(s.retransmissions.value for s in cluster.node_stats)
     fault = _fault_counters(cluster)
     injected = (
         fault.get("fault.injected_drops", 0)
         + fault.get("fault.duplicates", 0)
         + fault.get("fault.fifo_squeezes", 0)
         + fault.get("fault.dispatcher_stalls", 0)
-        + sum(s.packets_dropped for s in cluster.node_stats)
+        + sum(s.packets_dropped.value for s in cluster.node_stats)
     )
     bound = 16 + 6 * injected
     if retrans > bound:
@@ -436,9 +436,9 @@ def _run_cell(plan: FaultPlan, workload: str, reference_payload: bytes,
     if out.quiesce_us is None:
         out.violations.append("stuck: transport failed to quiesce in budget")
     out.violations.extend(check_invariants(cluster, payload, reference_payload))
-    out.retransmissions = sum(s.retransmissions for s in cluster.node_stats)
+    out.retransmissions = sum(s.retransmissions.value for s in cluster.node_stats)
     out.packets_dropped = (
-        sum(s.packets_dropped for s in cluster.node_stats) + cluster.fabric.dropped
+        sum(s.packets_dropped.value for s in cluster.node_stats) + cluster.fabric.dropped
     )
     out.fault_counters = _fault_counters(cluster)
     out.ok = not out.violations

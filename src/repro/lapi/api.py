@@ -478,7 +478,7 @@ class Lapi:
             if self.hal.rx_pending:
                 yield from self.dispatch(thread)
                 continue
-            self.stats.polls += 1
+            self.stats.polls.incr()
             yield from self.cpu.execute(thread, self.params.poll_check_us)
             if cntr.value >= val:
                 break
@@ -612,7 +612,7 @@ class Lapi:
                 if oldest is None:
                     break
                 _seq, (header, payload) = oldest
-                self.stats.retransmissions += 1
+                self.stats.retransmissions.incr()
                 self.stats.trace("lapi", "retransmit", dst=dst, seq=_seq)
                 yield from self.cpu.execute("user", p.lapi_tx_pkt_us)
                 yield from self.hal.send("user", dst, header, payload)
@@ -730,7 +730,7 @@ class Lapi:
                 f"task {self.task_id}: message names unregistered header "
                 f"handler {header['hh']!r}"
             ) from None
-        self.stats.hdr_handlers_run += 1
+        self.stats.hdr_handlers_run.incr()
         self.metrics.counter("lapi.hdr." + header["hh"]).incr()
         yield from self.cpu.execute(thread, self.params.lapi_hdr_hdl_us)
         self._in_hdr_handler = True
@@ -781,14 +781,14 @@ class Lapi:
                          bytes=asm.mlen, mid=asm.mid, thr=thread)
         if asm.cmpl_fn is not None:
             if self.enhanced or asm.cmpl_inline_always:
-                self.stats.cmpl_handlers_inline += 1
+                self.stats.cmpl_handlers_inline.incr()
                 self.stats.trace("lapi", "cmpl_inline", msg=asm.msg_no,
                                  mid=asm.mid, thr=thread)
                 yield from self.cpu.execute(thread, self.params.lapi_inline_cmpl_us)
                 yield from asm.cmpl_fn(self, thread, asm.cmpl_data)
                 yield from self._post_complete(thread, asm)
             else:
-                self.stats.cmpl_handlers_threaded += 1
+                self.stats.cmpl_handlers_threaded.incr()
                 self.stats.trace("lapi", "cmpl_queued_to_thread", msg=asm.msg_no,
                                  mid=asm.mid, thr=thread)
                 self._cmplq.put(asm)
@@ -831,7 +831,7 @@ class Lapi:
 
     def _send_ack(self, thread: str, src: int, flow: _FlowRx) -> Generator:
         flow.since_ack = 0
-        self.stats.acks_sent += 1
+        self.stats.acks_sent.incr()
         yield from self.hal.send(thread, src, {"kind": _ACK, "cum": flow.ledger.cum_ack}, b"")
 
     def _delayed_ack(self, src: int, flow: _FlowRx) -> Generator:

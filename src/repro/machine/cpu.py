@@ -22,6 +22,13 @@ core, which is exactly why the Base variant hurts less there (see
 ``benchmarks/bench_ablation_smp.py``).
 
 Scheduling is non-preemptive per core and FIFO-fair across waiters.
+
+A charge is one pooled kernel event due when it ends, and the only
+process resume is the caller's own at that end.  The event's first
+callback frees the core (or hands it to the next waiter) before the
+caller resumes.  A waiter is granted the core in a delay-0 callback that
+starts its charge without resuming it.  See ``docs/PERFORMANCE.md``,
+"CPU charges as one kernel event".
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ __all__ = ["Cpu", "INTERRUPT_CONTEXT"]
 
 
 class _Core:
-    __slots__ = ("index", "busy", "running", "last_thread", "preempted_thread")
+    __slots__ = ("index", "busy", "running", "last_thread", "preempted_thread",
+                 "charge_us")
 
     def __init__(self, index: int):
         self.index = index
@@ -48,6 +56,8 @@ class _Core:
         self.running: Optional[str] = None
         self.last_thread: Optional[str] = None
         self.preempted_thread: Optional[str] = None
+        #: total of the charge running on this core (switch + cost)
+        self.charge_us = 0.0
 
 
 class Cpu:
@@ -68,7 +78,8 @@ class Cpu:
         self.stats = stats
         self.name = name
         self._cores = [_Core(i) for i in range(cores)]
-        self._waiters: deque[Event] = deque()
+        #: parked charges, FIFO: ``(end event, thread, cost_us)``
+        self._waiters: deque[tuple[Event, str, float]] = deque()
         #: cumulative busy time across cores (utilisation statistic)
         self.busy_us: float = 0.0
         #: fault hook (:class:`repro.faults.FaultPoint`) for node-slowdown
@@ -83,24 +94,25 @@ class Cpu:
     def execute(self, thread: str, cost_us: float) -> Generator:
         """Run ``cost_us`` of work attributed to ``thread``.
 
-        Generator: ``yield from cpu.execute("user", 1.5)``.
+        Generator: ``yield from cpu.execute("user", 1.5)``.  The caller
+        waits on one pooled event due when the charge ends; its first
+        callback (:meth:`_done`) frees the core before the caller
+        resumes.  A charge that has to wait for a core is started by
+        :meth:`_grant` without resuming the caller, and a charge of zero
+        total on a free core continues without yielding at all.
         """
         core = self._try_acquire(thread)
         if core is None:
             ev = self.env.auto_event()
-            self._waiters.append((ev, thread))
-            core = yield ev  # hand-off: the releaser granted us this core
-        try:
-            switch = self._switch_penalty(core, thread)
-            if self.faults is not None:
-                cost_us = cost_us * self.faults.slowdown(self.env.now)
-            total = switch + max(0.0, cost_us)
-            if total > 0.0:
-                yield self.env.auto_timeout(total)
-            self.busy_us += total
-        finally:
+            self._waiters.append((ev, thread, cost_us))
+        elif self._charge(core, thread, cost_us) > 0.0:
+            ev = self.env.auto_timeout(core.charge_us, core)
+        else:
             core.last_thread = thread
             self._release(core)
+            return
+        ev.callbacks.append(self._done)
+        yield ev
 
     def memcpy(self, thread: str, nbytes: int) -> Generator:
         """Charge a host memory copy of ``nbytes`` and record it."""
@@ -108,6 +120,33 @@ class Cpu:
         yield from self.execute(thread, self.params.copy_cost(nbytes))
 
     # ------------------------------------------------------------------
+    def _charge(self, core: _Core, thread: str, cost_us: float) -> float:
+        """Start ``thread``'s charge on ``core``; returns its total."""
+        # the same thread (or interrupt context, whose entry is already
+        # charged) continuing on its core costs nothing
+        switch = (0.0 if core.last_thread == thread
+                  else self._switch_penalty(core, thread))
+        if self.faults is not None:
+            cost_us = cost_us * self.faults.slowdown(self.env.now)
+        core.charge_us = switch + max(0.0, cost_us)
+        return core.charge_us
+
+    def _done(self, ev: Event) -> None:
+        """End of a charge (first callback of its event): free the core."""
+        core = ev._value
+        self.busy_us += core.charge_us
+        core.last_thread = core.running
+        self._release(core)
+
+    def _grant(self, ev: Event) -> None:
+        """A parked charge got ``core``: start it without a resume."""
+        core, end, cost_us = ev._value
+        if self._charge(core, core.running, cost_us) > 0.0:
+            self.env.schedule(end, core.charge_us, core)
+        else:
+            # nothing to wait for: the caller continues in this slot
+            self.env.fire(end, core)
+
     def _try_acquire(self, thread: str) -> Optional[_Core]:
         if len(self._cores) == 1:
             # Uniprocessor fast path (the paper's SP nodes, and by far the
@@ -125,7 +164,7 @@ class Cpu:
         # waiters blocked only by a same-name conflict don't block others)
         if self._waiters:
             running_now = {c.running for c in self._cores if c.busy}
-            if any(t not in running_now for _ev, t in self._waiters):
+            if any(t not in running_now for _ev, t, _cost in self._waiters):
                 return None
         # one OS thread cannot occupy two cores: same-named sections
         # (e.g. the user program and LAPI engine work attributed to the
@@ -155,32 +194,38 @@ class Cpu:
     def _release(self, core: _Core) -> None:
         core.busy = False
         core.running = None
-        # hand the core to the first waiter whose thread is not already
-        # running elsewhere (FIFO among the eligible)
-        running_now = {c.running for c in self._cores if c.busy}
-        for i, (ev, thread) in enumerate(self._waiters):
-            if thread not in running_now:
-                del self._waiters[i]
-                core.busy = True
-                core.running = thread
-                ev.succeed(core)
+        waiters = self._waiters
+        if not waiters:
+            return
+        if len(self._cores) == 1:
+            # nothing runs on a uniprocessor now: the first waiter goes
+            ev, thread, cost_us = waiters.popleft()
+        else:
+            # hand the core to the first waiter whose thread is not
+            # already running elsewhere (FIFO among the eligible)
+            running_now = {c.running for c in self._cores if c.busy}
+            for i, (ev, thread, cost_us) in enumerate(waiters):
+                if thread not in running_now:
+                    del waiters[i]
+                    break
+            else:
                 return
+        core.busy = True
+        core.running = thread
+        # granted in the next delay-0 slot, by a callback, not a resume
+        self.env.call_later(0.0, self._grant, (core, ev, cost_us))
 
     def _switch_penalty(self, core: _Core, thread: str) -> float:
-        """Penalty for running ``thread`` on ``core`` next."""
+        """Penalty for running ``thread`` on ``core`` next, where it is
+        not the thread ``core`` last ran."""
         if thread.startswith(INTERRUPT_CONTEXT):
-            if core.last_thread == thread:
-                # Same interrupt context continuing; entry already charged.
-                return 0.0
             if core.last_thread is not None and not core.last_thread.startswith(
                 INTERRUPT_CONTEXT
             ):
                 core.preempted_thread = core.last_thread
-            self.stats.interrupts += 1
+            self.stats.interrupts.incr()
             return self.params.interrupt_overhead_us
 
-        if core.last_thread == thread:
-            return 0.0
         if core.preempted_thread == thread:
             # Returning from interrupt to the thread it preempted: the
             # restore cost is part of interrupt_overhead_us.
@@ -188,7 +233,7 @@ class Cpu:
             return 0.0
         if core.last_thread is None:
             return 0.0
-        self.stats.ctx_switches += 1
+        self.stats.ctx_switches.incr()
         self.stats.trace("cpu", "ctx_switch", to=thread, frm=core.last_thread,
                          cost_us=self.params.ctx_switch_us)
         return self.params.ctx_switch_us

@@ -5,13 +5,13 @@ them to verify *structural* claims (e.g. MPI-LAPI performs strictly
 fewer buffer copies per byte than the native stack, native MPI takes
 hysteresis dwells in interrupt mode, etc.).
 
-Since the observability PR, :class:`NodeStats` is a compatibility facade
-over a per-node :class:`repro.obs.MetricsRegistry`: the historical
-attribute counters (``stats.copies += 1`` and friends) are properties
-that read/write registry counters, so the same numbers appear in
-metrics snapshots, ``BENCH_*.json`` artifacts, and ``as_dict()``.
-Layers that need richer metrics (gauges, histograms, namespaced
-counters) reach the registry directly via ``stats.registry``.
+Each historical counter is an attribute holding the per-node
+:class:`repro.obs.MetricsRegistry` counter of the same name, bound at
+construction: layers write ``stats.copies.incr()`` and readers take
+``stats.copies.value``, so the same numbers appear in metrics
+snapshots, ``BENCH_*.json`` artifacts, and ``as_dict()``.  Layers that
+need richer metrics (gauges, histograms, namespaced counters) reach the
+registry directly via ``stats.registry``.
 """
 
 from __future__ import annotations
@@ -74,15 +74,16 @@ class NodeStats:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None, **values: int):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {name: self.registry.counter(name) for name in COUNTER_FIELDS}
+        for name in COUNTER_FIELDS:
+            setattr(self, name, self.registry.counter(name))
         for name, value in values.items():
-            if name not in self._counters:
+            if name not in COUNTER_FIELDS:
                 raise TypeError(f"NodeStats has no counter {name!r}")
-            self._counters[name].set(value)
+            getattr(self, name).set(value)
 
     def record_copy(self, nbytes: int) -> None:
-        self.copies += 1
-        self.bytes_copied += nbytes
+        self.copies.incr()
+        self.bytes_copied.incr(nbytes)
 
     def trace(self, layer: str, event: str, **fields) -> None:
         """Emit a structured trace event (no-op unless a tracer is set)."""
@@ -91,32 +92,16 @@ class NodeStats:
 
     def merged_with(self, other: "NodeStats") -> "NodeStats":
         """Element-wise sum (for cluster-level aggregation)."""
-        out = NodeStats()
-        for name in COUNTER_FIELDS:
-            out._counters[name].set(getattr(self, name) + getattr(other, name))
-        return out
+        theirs = other.as_dict()
+        return NodeStats(**{name: value + theirs[name]
+                            for name, value in self.as_dict().items()})
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in COUNTER_FIELDS}
+        return {name: getattr(self, name).value for name in COUNTER_FIELDS}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nonzero = {k: v for k, v in self.as_dict().items() if v}
         return f"<NodeStats node={self.node_id} {nonzero}>"
-
-
-def _counter_property(name: str) -> property:
-    def fget(self: NodeStats) -> int:
-        return self._counters[name].value
-
-    def fset(self: NodeStats, value: int) -> None:
-        self._counters[name].set(value)
-
-    return property(fget, fset)
-
-
-for _name in COUNTER_FIELDS:
-    setattr(NodeStats, _name, _counter_property(_name))
-del _name
 
 
 def aggregate(stats: list[NodeStats]) -> NodeStats:

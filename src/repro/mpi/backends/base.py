@@ -189,7 +189,7 @@ class Backend:
             )
         self._ea_used += size
         self._g_ea.set(self._ea_used)
-        self.stats.early_arrivals += 1
+        self.stats.early_arrivals.incr()
         return bytearray(size)
 
     def _free_ea(self, size: int) -> None:
@@ -256,13 +256,13 @@ class Backend:
             # Fig 8: copy the message into the user-attached buffer first
             self._reserve_attached(size, sid)
             yield from self.cpu.memcpy(thread, size)
-        self.stats.msgs_sent += 1
+        self.stats.msgs_sent.incr()
         if proto == EAGER:
-            self.stats.eager_sends += 1
+            self.stats.eager_sends.incr()
             hdr["t"] = "eager"
             yield from self._send_eager(thread, dst_task, hdr, data, req)
         else:
-            self.stats.rendezvous_started += 1
+            self.stats.rendezvous_started.incr()
             hdr["t"] = "rts"
             yield from self._send_rts(thread, dst_task, hdr, data, req, blocking)
         return req
@@ -285,7 +285,7 @@ class Backend:
             entry, _ = self.early.match(context, src_pattern, tag_pattern)
         if entry is None:
             self.posted.post(context, src_pattern, tag_pattern, req)
-            self.stats.matches_posted += 1
+            self.stats.matches_posted.incr()
             return req
 
         _env, msg = entry
@@ -318,7 +318,7 @@ class Backend:
         yield from self.cpu.memcpy(thread, msg.size)
         self._free_ea(msg.size)
         req.complete(source=msg.envelope.src, tag=msg.envelope.tag, count=msg.size)
-        self.stats.msgs_received += 1
+        self.stats.msgs_received.incr()
 
     def _hand_off(self, msg: InMsg, req: Request) -> None:
         """Leave the EA-buffer → user copy to the thread that waits on
@@ -385,7 +385,7 @@ class Backend:
             if msg.ea_buf is None:
                 req.complete(source=msg.envelope.src, tag=msg.envelope.tag,
                              count=msg.size)
-                self.stats.msgs_received += 1
+                self.stats.msgs_received.incr()
             else:
                 self._hand_off(msg, req)
         if msg.want_bfree:
@@ -443,7 +443,7 @@ class Backend:
                 break
             if progressed:
                 continue
-            self.stats.polls += 1
+            self.stats.polls.incr()
             yield from self.cpu.execute(thread, self.params.poll_check_us)
             if cond():
                 break
@@ -462,7 +462,7 @@ class Backend:
                 continue
             if progressed:
                 continue
-            self.stats.polls += 1
+            self.stats.polls.incr()
             yield from self.cpu.execute(thread, self.params.poll_check_us)
             if req.done or req.needs_finalize:
                 continue

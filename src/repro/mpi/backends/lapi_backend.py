@@ -243,7 +243,7 @@ class LapiBackend(Backend):
         src = msg.src_task
         expected = self._expected.setdefault(src, 0)
         if msg.mseq != expected:
-            self.stats.deferred_announcements += 1
+            self.stats.deferred_announcements.incr()
             self.stats.trace("mpci", "announce_deferred", mseq=msg.mseq,
                              expected=expected, mid=msg.mid)
             self._pending_ann.setdefault(src, {})[msg.mseq] = msg

@@ -82,7 +82,7 @@ class NativeBackend(Backend):
         yield from self.pipes.dispatch(thread)
         while True:
             # dwell: spin on the CPU hoping more packets arrive
-            self.stats.hysteresis_dwells += 1
+            self.stats.hysteresis_dwells.incr()
             self.stats.trace("cpu", "hysteresis_dwell", us=self._hysteresis_us,
                              thr=thread)
             yield from self.cpu.execute(thread, self._hysteresis_us)

@@ -835,7 +835,7 @@ class LapiRmaEngine(RmaEngine):
             if lapi.hal.rx_pending:
                 yield from lapi.dispatch(thread)
                 continue
-            self.stats.polls += 1
+            self.stats.polls.incr()
             yield from self.cpu.execute(thread, self.params.poll_check_us)
             if cond():
                 break

@@ -115,8 +115,8 @@ class Adapter:
         packet = ev._value
         stats = self.stats
         packet.route = self.fabric.pick_route(packet.src, packet.dst)
-        stats.packets_sent += 1
-        stats.bytes_on_wire += packet.wire_bytes
+        stats.packets_sent.incr()
+        stats.bytes_on_wire.incr(packet.wire_bytes)
         if stats.tracer is not None:
             h = packet.header
             stats.trace("adapter", "pkt_tx", dst=packet.dst, route=packet.route,
@@ -142,7 +142,7 @@ class Adapter:
         if len(self._host_rx) >= cap:
             # Host FIFO overflow: the adapter drops; reliability
             # layers above recover via retransmission.
-            stats.packets_dropped += 1
+            stats.packets_dropped.incr()
             if stats.tracer is not None:
                 stats.trace("adapter", "fifo_drop", src=packet.src,
                             seq=packet.header.get("seq"),
@@ -150,7 +150,7 @@ class Adapter:
             return
         self._host_rx.append(packet)
         self._g_rx_depth.set(len(self._host_rx))
-        stats.packets_received += 1
+        stats.packets_received.incr()
         if stats.tracer is not None:
             h = packet.header
             stats.trace("adapter", "pkt_rx", src=packet.src, kind=h.get("kind"),

@@ -205,7 +205,7 @@ class PipeEndpoint:
                 if oldest is None:
                     break
                 _seq, (header, payload) = oldest
-                self.stats.retransmissions += 1
+                self.stats.retransmissions.incr()
                 yield from self.cpu.execute("user", self.params.pipe_pkt_us)
                 yield from self.hal.send("user", dst, header, payload)
                 flow.last_progress = self.env.now
@@ -309,7 +309,7 @@ class PipeEndpoint:
 
     def _send_ack(self, thread: str, src: int, flow: _FlowRx) -> Generator:
         flow.since_ack = 0
-        self.stats.acks_sent += 1
+        self.stats.acks_sent.incr()
         yield from self.hal.send(
             thread, src, {"kind": _ACK, "cum": flow.ledger.cum_ack}, b""
         )

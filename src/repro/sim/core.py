@@ -611,6 +611,50 @@ class Environment:
         free = self._free
         return free.pop() if free else _AutoEvent(self)
 
+    def schedule(self, event: Event, delay: float, value: Any = None) -> None:
+        """Trigger the pending ``event`` with ``value``, ``delay`` from now.
+
+        :meth:`auto_timeout` for an event that already has its waiters
+        (e.g. a pooled :meth:`auto_event` a process yielded earlier): it
+        takes the same queue slot a fresh ``auto_timeout(delay)`` would.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        if event._triggered:
+            raise SimulationError(f"{event!r} already triggered")
+        event._triggered = True
+        event._value = value
+        seq = self._seq = self._seq + 1
+        if delay == 0.0:
+            self._normal.append((self._now, NORMAL, seq, event))
+        else:
+            _heappush(self._queue, (self._now + delay, NORMAL, seq, event))
+        if self._m_heap is not None:
+            self._m_heap.set(len(self._queue) + len(self._urgent) + len(self._normal))
+
+    def fire(self, event: Event, value: Any = None) -> None:
+        """Trigger the pending ``event`` and run its callbacks at once.
+
+        For use inside another event's callback: the waiters run in the
+        current slot, as if that event had triggered them, with no queue
+        entry of their own (no seq, no pop).  A pooled event is recycled
+        afterwards, as the run loop would.
+        """
+        if event._triggered:
+            raise SimulationError(f"{event!r} already triggered")
+        event._triggered = True
+        event._value = value
+        callbacks, event.callbacks = event.callbacks, None
+        event._processed = True
+        for cb in callbacks:
+            cb(event)
+        if event._auto:
+            event._processed = False
+            event._triggered = False
+            event._value = None
+            event.callbacks = []
+            self._free.append(event)
+
     # -- scheduling ----------------------------------------------------------
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
         seq = self._seq = self._seq + 1

@@ -117,8 +117,8 @@ def test_stats_aggregation_sums_nodes():
             yield from comm.recv(buf, source=0)
 
     res = cl.run(program)
-    per_node = [s.packets_sent for s in cl.node_stats]
-    assert res.stats.packets_sent == sum(per_node)
+    per_node = [s.packets_sent.value for s in cl.node_stats]
+    assert res.stats.packets_sent.value == sum(per_node)
 
 
 def test_raw_lapi_stack_has_no_comms():

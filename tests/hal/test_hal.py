@@ -102,7 +102,7 @@ def test_header_bytes_accounted_on_wire():
 
     env.process(sender())
     env.run()
-    assert stats[0].bytes_on_wire == 30 + 8
+    assert stats[0].bytes_on_wire.value == 30 + 8
 
 
 def test_charge_recv_costs_time():

@@ -23,7 +23,7 @@ def test_single_thread_no_switch_cost():
     p = env.process(proc())
     env.run(until=p)
     assert env.now == pytest.approx(10.0)
-    assert stats.ctx_switches == 0
+    assert stats.ctx_switches.value == 0
 
 
 def test_thread_change_charges_ctx_switch():
@@ -38,7 +38,7 @@ def test_thread_change_charges_ctx_switch():
     env.run(until=p)
     # first execute: no previous thread; then two switches
     assert env.now == pytest.approx(3.0 + 2 * 24.0)
-    assert stats.ctx_switches == 2
+    assert stats.ctx_switches.value == 2
 
 
 def test_interrupt_charges_overhead_not_switch():
@@ -53,8 +53,8 @@ def test_interrupt_charges_overhead_not_switch():
     env.run(until=p)
     # 1 + (7 + 2) + 1 : the return to the preempted thread is free
     assert env.now == pytest.approx(11.0)
-    assert stats.ctx_switches == 0
-    assert stats.interrupts == 1
+    assert stats.ctx_switches.value == 0
+    assert stats.interrupts.value == 1
 
 
 def test_consecutive_irq_sections_charged_once():
@@ -66,7 +66,7 @@ def test_consecutive_irq_sections_charged_once():
 
     p = env.process(proc())
     env.run(until=p)
-    assert stats.interrupts == 1
+    assert stats.interrupts.value == 1
     assert env.now == pytest.approx(9.0 + 2.0)
 
 
@@ -92,8 +92,8 @@ def test_memcpy_records_stats_and_charges_time():
 
     p = env.process(proc())
     env.run(until=p)
-    assert stats.copies == 1
-    assert stats.bytes_copied == 1000
+    assert stats.copies.value == 1
+    assert stats.bytes_copied.value == 1000
     assert env.now == pytest.approx(10.0)
 
 

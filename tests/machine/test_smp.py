@@ -58,7 +58,7 @@ def test_affinity_avoids_switch_charge():
 
     p = env.process(seq())
     env.run(until=p)
-    assert stats.ctx_switches == 0
+    assert stats.ctx_switches.value == 0
     assert env.now == pytest.approx(4.0)
 
 
@@ -71,7 +71,7 @@ def test_single_core_still_charges_switches():
 
     p = env.process(seq())
     env.run(until=p)
-    assert stats.ctx_switches == 1
+    assert stats.ctx_switches.value == 1
 
 
 def test_smp_shrinks_base_variant_penalty():

@@ -8,25 +8,25 @@ def test_record_copy():
     s = NodeStats()
     s.record_copy(100)
     s.record_copy(50)
-    assert s.copies == 2
-    assert s.bytes_copied == 150
+    assert s.copies.value == 2
+    assert s.bytes_copied.value == 150
 
 
 def test_merged_with_sums_fields():
     a = NodeStats(copies=1, packets_sent=5)
     b = NodeStats(copies=2, packets_sent=7, interrupts=3)
     c = a.merged_with(b)
-    assert c.copies == 3
-    assert c.packets_sent == 12
-    assert c.interrupts == 3
+    assert c.copies.value == 3
+    assert c.packets_sent.value == 12
+    assert c.interrupts.value == 3
     # originals untouched
-    assert a.copies == 1
+    assert a.copies.value == 1
 
 
 def test_aggregate_many():
     parts = [NodeStats(msgs_sent=i) for i in range(5)]
     total = aggregate(parts)
-    assert total.msgs_sent == 10
+    assert total.msgs_sent.value == 10
 
 
 def test_as_dict_covers_all_fields():

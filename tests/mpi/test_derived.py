@@ -150,7 +150,7 @@ def test_derived_type_charges_pack_copies():
 
     res = cl.run(program)
     # pack copy at sender + unpack copy at receiver, on top of transport
-    assert res.stats.bytes_copied >= 2 * 512
+    assert res.stats.bytes_copied.value >= 2 * 512
 
 
 def test_waitany_returns_first_completion():

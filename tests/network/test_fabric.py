@@ -49,8 +49,8 @@ def test_single_packet_delivery():
     env.run()
     assert len(got) == 1
     assert got[0].payload == b"hello"
-    assert stats[0].packets_sent == 1
-    assert stats[1].packets_received == 1
+    assert stats[0].packets_sent.value == 1
+    assert stats[1].packets_received.value == 1
     assert fabric.delivered == 1
 
 
@@ -135,8 +135,8 @@ def test_recv_fifo_overflow_drops():
     env.process(sender())
     env.run()
     # nobody drains node 1, so only 4 packets fit
-    assert stats[1].packets_received == 4
-    assert stats[1].packets_dropped == 16
+    assert stats[1].packets_received.value == 4
+    assert stats[1].packets_dropped.value == 16
 
 
 def test_send_to_unattached_node_raises():

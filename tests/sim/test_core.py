@@ -346,3 +346,44 @@ def test_call_at_now_queues_behind_events_already_due():
         env.call_at(-1.0, lambda ev: None)
     with pytest.raises(ValueError):
         env.auto_timeout_at(-1.0)
+
+
+def test_schedule_triggers_a_waited_event_in_its_queue_slot():
+    env = Environment()
+    order = []
+    ev = env.auto_event()
+    ev.callbacks.append(lambda e: order.append(("scheduled", env.now, e.value)))
+    env.call_later(2.0, lambda e: order.append(("before", env.now)))
+    env.schedule(ev, 2.0, "v")
+    env.call_later(2.0, lambda e: order.append(("after", env.now)))
+    env.run()
+    assert order == [("before", 2.0), ("scheduled", 2.0, "v"), ("after", 2.0)]
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), -1.0)
+    with pytest.raises(SimulationError):
+        env.schedule(env.event().succeed(), 1.0)
+
+
+def test_fire_runs_callbacks_in_the_current_slot_without_a_pop():
+    from repro.obs import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    env = Environment(metrics=metrics)
+    got = []
+    waited = env.auto_event()
+
+    def proc():
+        got.append((yield waited))
+        got.append(env.now)
+
+    env.process(proc())
+    env.call_later(1.0, lambda e: env.fire(waited, "x"))
+    env.run()
+    assert got == ["x", 1.0]
+    # the process start, the call_later and the process exit; the fired
+    # event itself is never queued, so never popped
+    assert metrics.counter("sim.events_popped").value == 3
+    # the pooled event went back to the free list, reset
+    assert waited in env._free and not waited.triggered
+    with pytest.raises(SimulationError):
+        env.fire(env.event().succeed())
